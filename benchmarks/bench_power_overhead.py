@@ -3,10 +3,10 @@
 The four always-on :class:`repro.noc.stats.NetworkStats` activity
 counters (``crossbar_traversals`` / ``buffer_reads`` / ``buffer_writes``
 / ``link_flit_hops`` — DESIGN.md §17) are incremented on the hottest
-paths of all three cycle cores, so their cost is bounded here in the
-regime where it matters most: the saturated open-loop mesh on the
-batched SoA core, the fastest stepper and therefore the worst case for
-*relative* overhead.
+paths of both cycle cores, so their cost is bounded here in the regime
+where it matters most: the saturated open-loop mesh on the batched
+core, the fastest stepper and therefore the worst case for *relative*
+overhead.
 
 Enforcing the ``< 2%`` contract follows the same reasoning as
 ``bench_obs_overhead.py``: the per-event cost is a handful of integer

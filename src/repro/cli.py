@@ -287,7 +287,7 @@ def _cmd_sweep(args) -> int:
         [design], rates, factory, pattern_name=pattern_name,
         warmup=args.warmup, measure=args.measure, seed=args.seed,
         jobs=args.jobs, progress=log_progress if args.progress else None,
-        telemetry=telemetry, fleet=args.fleet_size)
+        telemetry=telemetry)
     print(f"open-loop sweep of {design.name} ({pattern_name} many-to-few)")
     print(f"{'rate':>8s} {'latency':>9s} {'p99':>8s} {'accepted':>9s} "
           f"{'saturated':>10s}")
@@ -324,7 +324,7 @@ def _cmd_explore(args) -> int:
     result = dse.explore_preset(args.preset, seed=args.seed,
                                 jobs=args.jobs, cache=args.cache,
                                 progress=log_progress if args.progress
-                                else None, fleet=args.fleet_size)
+                                else None)
 
     if result.rejected:
         rules: dict = {}
@@ -646,13 +646,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--progress", action="store_true",
                        help="print per-task wall-clock progress to stderr")
 
-    def fleet_args(p):
-        p.add_argument("--fleet-size", type=positive_int, default=None,
-                       dest="fleet_size", metavar="B",
-                       help="lockstep-batch up to B compatible open-loop "
-                            "simulations per worker (default: REPRO_FLEET "
-                            "or 1; results are bit-identical)")
-
     cmp_ = sub.add_parser("compare", help="compare designs on one benchmark")
     cmp_.add_argument("--benchmark", required=True)
     cmp_.add_argument("--designs", required=True,
@@ -686,7 +679,6 @@ def make_parser() -> argparse.ArgumentParser:
     check_args(sweep)
     telemetry_args(sweep)
     parallel_args(sweep)
-    fleet_args(sweep)
 
     explore = sub.add_parser(
         "explore", help="design-space exploration (screen/halve/confirm)")
@@ -702,7 +694,6 @@ def make_parser() -> argparse.ArgumentParser:
     explore.add_argument("--seed", type=int, default=None,
                          help="override the preset's base seed")
     parallel_args(explore)
-    fleet_args(explore)
 
     from .serve import protocol as serve_protocol
 

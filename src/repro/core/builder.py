@@ -339,13 +339,8 @@ class NetworkSystem:
         for network in self.networks:
             network.use_reference_stepper()
 
-    def use_event_stepper(self) -> None:
-        """Switch every slice (back) to the event stepper (idle-only)."""
-        for network in self.networks:
-            network.use_event_stepper()
-
     def use_batched_stepper(self) -> None:
-        """Switch every slice to the batched SoA stepper (idle-only)."""
+        """Switch every slice (back) to the batched core (idle-only)."""
         for network in self.networks:
             network.use_batched_stepper()
 

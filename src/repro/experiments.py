@@ -282,8 +282,7 @@ def load_latency_curves(
         warmup: int = 1000, measure: int = 3000,
         seed: int = 7, jobs: Optional[int] = None,
         cache=None, progress=None,
-        telemetry=None,
-        fleet: Optional[int] = None) -> List[LoadLatencyCurve]:
+        telemetry=None) -> List[LoadLatencyCurve]:
     """Figure 21's open-loop study over a set of designs.
 
     Every (design, pattern, rate) point gets an independently derived seed
@@ -295,9 +294,6 @@ def load_latency_curves(
     the cache discriminator for the pattern, so keep it unique per pattern
     configuration.  ``telemetry`` (a :class:`repro.telemetry.TelemetrySpec`)
     attaches per-task observability exactly as in :func:`compare_designs`.
-    ``fleet`` (default: ``REPRO_FLEET``) batches the low-rate points of
-    the sweep into lockstep fleets (DESIGN.md §18); results are
-    bit-identical for any fleet width.
     """
     designs = list(designs)
     rates = list(rates)
@@ -307,8 +303,7 @@ def load_latency_curves(
                        telemetry=telemetry)
         for design in designs for rate in rates
     ]
-    payloads = run_tasks(tasks, jobs=jobs, cache=cache, progress=progress,
-                         fleet=fleet)
+    payloads = run_tasks(tasks, jobs=jobs, cache=cache, progress=progress)
     curves = []
     it = iter(payloads)
     for design in designs:

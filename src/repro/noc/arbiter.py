@@ -54,7 +54,7 @@ class SeparableAllocator:
 
     The allocator keeps its pointer state in flat arrays indexed by port
     position.  ``allocate`` is the general dict-keyed API; ``allocate_fast``
-    is the position-indexed hot path the router's event-driven step uses —
+    is the position-indexed hot path the batched core's grant pass uses —
     both drive the same pointers, so they are interchangeable mid-run.
     """
 

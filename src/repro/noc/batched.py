@@ -1,75 +1,82 @@
-"""Batched struct-of-arrays cycle core for the saturated regime.
+"""Batched cycle core: the network's default router phase.
 
-The event-driven stepper (DESIGN.md §13) wins by letting idle routers
-sleep, but near saturation every router is occupied and the wake heap
-degenerates: the scan over per-router Python objects dominates again —
-exactly the operating point the paper's throughput-effective analysis
-cares about.  This module attacks the dense regime directly.
+The reference stepper (``MeshNetwork._step_scan`` / ``Router.step``)
+walks every port and VC of every occupied router each cycle, yet most of
+that walk finds nothing to do: a flit still in the router pipeline, a
+head waiting for an output VC, a VC out of credits.  Near saturation —
+the operating point the paper's throughput-effective analysis cares
+about — every router is occupied and the walk is the whole cost.
 
-The :class:`BatchedCore` keeps numpy struct-of-arrays mirrors of the
-per-(router, input port, VC) state that decides whether a cell can act
-this cycle:
+:class:`BatchedCore` screens the (router, input port, VC) *cells* of the
+mesh with four Python-int bitsets; bit ``ci`` of each mask describes
+cell ``ci``:
 
-* ``head_ready[c]`` — pipeline ready time of the flit at the front of the
-  cell's buffer (``NEVER`` while the buffer is empty),
-* ``va_ok[c]`` — the cell holds an output VC and that VC has credits, so
-  an eligible front flit is a switch request,
-* ``va_need[c]`` — the front flit is a head without an output VC, so an
-  eligible head must attempt route computation / VC allocation,
-* ``va_blocked[c]`` — that allocation attempt is known to fail (and to
-  have no side effects) until a VC frees on the cell's output port.
+* ``ready`` — the cell's front flit has cleared the pipeline
+  (``front.ready <= now``);
+* ``ok`` — the cell holds an output VC and that VC has credits, so a
+  ready front flit is a switch request;
+* ``need`` — the front flit is a head without an output VC, so a ready
+  head must attempt route computation / VC allocation;
+* ``blocked`` — that allocation attempt is known to fail (and to have no
+  side effects) until a VC frees on the cell's output port.
 
-The fused route+VA+switch pass then becomes one vectorized sweep: a
-single ``(head_ready <= now) & (va_ok | (va_need & ~va_blocked))``
-screen over *all* cells of the mesh finds every cell the reference scan
-would observably mutate this cycle; routers with no such cell are
-skipped entirely (their VA rotation is replayed lazily from the
-``_last_step`` anchor, exactly like the event core's sleep/replay).
-Only the flagged cells are touched by Python code, in the reference's
-rotated port order, driving the same ``SeparableAllocator`` pointers,
-channels, tracer hooks and stats as the object-based steppers — so
-results stay bit-identical (pinned by
-``tests/test_stepper_equivalence.py``) and the invariant checker,
-telemetry and deadlock watchdog work unchanged.
+Fronts still in the pipeline wait in the ``pending`` calendar
+``{ready_cycle: bits}``; the entry for the current cycle is ORed into
+``ready`` at the top of each :meth:`BatchedCore.sweep`.  This is exact
+because a front flit cannot leave its buffer before it is ready, so it
+is still the front when its calendar entry comes due.
 
-Two screening arguments carry the skipping beyond the event core:
+One screen, ``ready & (ok | (need & ~blocked))``, then names every cell
+the reference scan would observably mutate this cycle.  It is walked
+lowest bit first: cells of one router are contiguous and routers follow
+mesh order, so ascending cell order is the reference scan's
+router-then-port order (ejection handlers and RNG draws fire in that
+order).  Routers with no flagged cell are skipped entirely; their VA
+rotation is replayed lazily from the ``Router._last_step`` anchor.  The
+flagged cells drive the same ``SeparableAllocator`` pointers, channels,
+tracer hooks and stats as the reference, so results are bit-identical
+(pinned by ``tests/test_stepper_equivalence.py``), and the invariant
+checker, telemetry and deadlock watchdog work unchanged.
+
+Two screening arguments let whole classes of work sleep:
 
 * A failed VC allocation mutates nothing (``free_vc`` moves its pointer
   only on success; a single eject port never rotates the eject
-  pointer), and it keeps failing until an output VC of the *same
-  output port* is released — so a blocked cell is skipped until the
-  grant loop frees a VC there (``_blocked_lists`` gives the exact
-  wake-up set).  Routers with several eject ports are exempt: their
-  failed ejection allocations rotate the eject-port pointer.
+  pointer), and it keeps failing until an output VC of the *same output
+  port* is released — so a blocked cell is skipped until the grant loop
+  frees a VC there (the per-port blocked masks give the exact wake-up
+  set).  Routers with several eject ports are exempt: their failed
+  ejection allocations rotate the eject-port pointer.
 * A source-drain pass that delivered nothing mutated nothing, and its
   outcome can only change when a grant pops a flit out of an
   injection-port buffer or a fresh packet heads an idle source port —
   tracked by ``MeshNetwork._source_stuck``.
 
-The router objects stay authoritative: the arrays are read-side mirrors,
-updated at the few mutation points (flit delivery, credit 0->1, VC
-allocation, switch grants).  ``audit_event_scheduling`` cross-checks the
-mirrors against the object state when the batched core is active.
+The router objects stay authoritative: the masks are read-side mirrors,
+updated at the few mutation points — flit delivery and credit 0 -> 1 in
+the router hooks, VC allocation and switch grants here.  Nothing inside
+:meth:`BatchedCore.process_cells` re-enters those hooks (flits and
+credits it sends are queued on channels and delivered in the next
+channel phase), so the grant pass keeps the masks in locals and writes
+them back once.  ``audit_event_scheduling`` cross-checks every mask and
+the calendar against the object state.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
+from typing import Dict, List
 
 from .packet import RouteGroup, TrafficClass
-from .router import NEVER, Router, RoutingViolation
+from .router import RoutingViolation
 from .topology import Direction
 
 
 class BatchedCore:
-    """Struct-of-arrays sweep engine attached to one ``MeshNetwork``.
+    """Bitset screen and grant pass attached to one ``MeshNetwork``.
 
-    Construction (and :meth:`detach`) are only legal while the network is
-    idle — enforced by ``MeshNetwork.use_batched_stepper`` — but the
-    mirrors are seeded from the live object state anyway, so the
-    invariants hold from the first cycle regardless.
+    Construction is only legal while the network is idle (enforced by
+    ``MeshNetwork.use_batched_stepper``): an idle network has no buffered
+    flit and no owned output VC, so every mask starts empty.
     """
 
     def __init__(self, net) -> None:
@@ -91,30 +98,28 @@ class BatchedCore:
             cell_router.extend([idx] * ncells)
             total += ncells
             ends.append(total)
-        #: First cell index of each router; cells of one router are
-        #: contiguous (input-position major, VC minor), so ascending cell
-        #: order is exactly the reference scan's router-then-port order.
-        self.bases = bases
+        #: One-past-last cell index of each router; cells of one router
+        #: are contiguous (input-position major, VC minor), so ascending
+        #: cell order is exactly the reference scan's router-then-port
+        #: order.
         self.ends = ends
         self.cell_router = cell_router
         #: Static per-cell identity ``(pos, in_vc, in_port, vc_state)`` —
         #: the ``_InputVc`` objects and their buffers never move.
         self.cell_info = cell_info
-        self.num_cells = total
-        self.head_ready = np.full(total, NEVER, dtype=np.int64)
-        self.va_ok = np.zeros(total, dtype=bool)
-        self.va_need = np.zeros(total, dtype=bool)
-        self.va_blocked = np.zeros(total, dtype=bool)
-        # Reused per-cycle scratch for the vectorized screen.
-        self._elig = np.zeros(total, dtype=bool)
-        self._cand = np.zeros(total, dtype=bool)
-        #: Static per-router hot-loop state (see ``sweep`` for the unpack
-        #: order); binding one tuple beats a dozen attribute lookups per
-        #: visited router.
+        self.ready = 0
+        self.ok = 0
+        self.need = 0
+        self.blocked = 0
+        #: Ready cycle -> cells whose front flit clears the pipeline then.
+        self.pending: Dict[int, int] = {}
+        #: Static per-router hot-loop state (see ``process_cells`` for the
+        #: unpack order); binding one tuple beats a dozen attribute
+        #: lookups per visited router.
         self._rinfo: List[tuple] = []
-        #: Per router, per output position: cell indices blocked on that
-        #: port, flushed (unblocked) when the grant loop frees a VC there.
-        self._blocked_lists: List[List[List[int]]] = []
+        #: Per router, per output position: mask of the router's cells
+        #: blocked on that port, flushed when the grant loop frees a VC.
+        self.blocked_by_pos: List[List[int]] = []
         # Pure-DOR designs (``plan_writes_defaults``) admit two extra fast
         # paths: packets keep ``group == ANY`` for life (nothing mutates
         # it), so the allowed-VC tuple is a fixed per-class pair; and
@@ -132,12 +137,11 @@ class BatchedCore:
                 self._fixed_allowed = (req, rep)
         for idx, router in enumerate(self.routers):
             allocator = router._allocator
-            blockable = len(router._eject_ids) <= 1
             eject_pos = (router._out_pos[router._eject_ids[0]]
                          if router._eject_ids else -1)
             outs = router._out_by_pos
-            blocked = [[] for _ in outs]
-            self._blocked_lists.append(blocked)
+            blocked_by_pos = [0] * len(outs)
+            self.blocked_by_pos.append(blocked_by_pos)
             # Per-output-position flat caches: the output ports, their
             # credit/owner lists and the channel endpoints never move after
             # ``finalize``, so the grant loop indexes plain tuples instead
@@ -146,10 +150,11 @@ class BatchedCore:
             self._rinfo.append((
                 router, bases[idx], len(router._input_order),
                 router._req_masks, router._req_outs, router._req_active,
-                router._out_pos, router._vc_masks,
+                router._out_pos,
                 allocator, allocator._in_ptr, allocator._out_ptr,
                 allocator._num_vcs, allocator._num_inputs,
-                blockable, blocked, eject_pos, router.coord,
+                len(router._eject_ids) <= 1, blocked_by_pos,
+                eject_pos, router.coord,
                 router.net_index, router._grant_scratch,
                 tuple(out.credits for out in outs),
                 tuple(out.owner for out in outs),
@@ -164,72 +169,52 @@ class BatchedCore:
                       if not isinstance(p, tuple) else -2
                       for p in router._input_order),
             ))
-            router._soa = self
-            router._soa_base = bases[idx]
-        self.sync_from_state()
+            router._screen = self
+            router._cell_base = bases[idx]
 
     def detach(self) -> None:
         """Drop the router-side mirror hooks (stepper switched away)."""
         for router in self.routers:
-            router._soa = None
+            router._screen = None
 
-    # -- mirror maintenance --------------------------------------------------
-
-    def sync_from_state(self) -> None:
-        """Rebuild every mirror cell from the authoritative object state."""
-        v = self.num_vcs
-        head_ready = self.head_ready
-        va_ok = self.va_ok
-        va_need = self.va_need
-        self.va_blocked[:] = False
-        for blocked in self._blocked_lists:
-            for bl in blocked:
-                del bl[:]
-        for idx, router in enumerate(self.routers):
-            base = self.bases[idx]
-            for pos, (_port, in_vcs) in enumerate(router._ordered_inputs):
-                for in_vc, vc_state in enumerate(in_vcs):
-                    ci = base + pos * v + in_vc
-                    buf = vc_state.buffer
-                    head_ready[ci] = buf[0].ready if buf else NEVER
-                    out_vc = vc_state.out_vc
-                    va_need[ci] = bool(buf) and out_vc is None
-                    va_ok[ci] = (
-                        out_vc is not None
-                        and router.out_ports[vc_state.out_port]
-                        .credits[out_vc] > 0)
-
-    # -- the vectorized sweep ------------------------------------------------
+    # -- the screen ----------------------------------------------------------
 
     def sweep(self, now: int) -> None:
         """One router phase: screen all cells, touch only the actionable
-        ones.  Twin of ``Router.step``/``Router.step_reference`` — any
-        semantic change must land in all three backends."""
-        np.less_equal(self.head_ready, now, out=self._elig)
-        # need & ~blocked (elementwise bool "greater" = and-not), then | ok.
-        np.greater(self.va_need, self.va_blocked, out=self._cand)
-        np.logical_or(self._cand, self.va_ok, out=self._cand)
-        np.logical_and(self._cand, self._elig, out=self._cand)
-        idx = np.flatnonzero(self._cand)
-        if not idx.size:
+        ones.  Twin of ``Router.step`` — any semantic change must land in
+        both.
+
+        The network sweeps every cycle while any flit is buffered, and
+        every calendar entry belongs to a buffered front booked for a
+        later cycle, so each entry is collected exactly on its cycle."""
+        due = self.pending.pop(now, 0)
+        ready = self.ready
+        if due:
+            ready |= due
+            self.ready = ready
+        cand = ready & (self.ok | (self.need & ~self.blocked))
+        if not cand:
             return
-        self.process_cells(now, idx.tolist())
+        cells = []
+        append = cells.append
+        while cand:
+            low = cand & -cand
+            append(low.bit_length() - 1)
+            cand ^= low
+        self.process_cells(now, cells)
 
     def process_cells(self, now: int, cells: List[int]) -> None:
-        """Grant pass over a non-empty, ascending candidate cell list.
-
-        Split from :meth:`sweep` so a fleet screen over many networks can
-        dispatch each member's slice of one global candidate vector here
-        (cell indices are member-local either way)."""
+        """Grant pass over a non-empty, ascending candidate cell list."""
         cell_router = self.cell_router
         cell_info = self.cell_info
         rinfo = self._rinfo
         ends = self.ends
         vpc = self.num_vcs
-        head_ready = self.head_ready
-        va_ok = self.va_ok
-        va_need = self.va_need
-        va_blocked = self.va_blocked
+        ready = self.ready
+        ok = self.ok
+        need = self.need
+        blocked = self.blocked
+        pending = self.pending
         net = self.net
         net_eject = net._eject
         source_stuck = net._source_stuck
@@ -247,21 +232,17 @@ class BatchedCore:
         moved = 0
         i = 0
         n = len(cells)
-        # Ascending cell index = ascending router index = the mesh order
-        # the reference scan walks (ejection handlers and RNG draws must
-        # fire in that order).
         while i < n:
             ci = cells[i]
             r = cell_router[ci]
-            (router, base, n_in, req_masks, req_outs, active,
-             out_pos_map, vc_masks,
+            (router, base, n_in, req_masks, req_outs, active, out_pos_map,
              allocator, in_ptr, out_ptr, a_num_vcs, a_n_in,
-             blockable, blocked, eject_pos, coord, node_idx, grants,
+             blockable, blocked_by_pos, eject_pos, coord, node_idx, grants,
              credits_by_pos, owner_by_pos, freevc_by_pos,
              sendf_by_pos, pid_by_pos, sendc_by_pos,
              route_memo, uturn_by_pos) = rinfo[r]
-            # Replay the rotation increments of the skipped cycles, exactly
-            # as the event core does (see Router.step).
+            # Replay the rotation increments of the skipped cycles: the
+            # reference advances ``_va_rotate`` once per occupied cycle.
             rotate = (router._va_rotate + now - router._last_step - 1) % n_in
             router._va_rotate = (rotate + 1) % n_in
             router._last_step = now
@@ -278,11 +259,12 @@ class BatchedCore:
                 # one switch request — the separable allocator trivially
                 # grants it (twin of ``allocate_fast``'s pointer updates).
                 i = j
+                bit = 1 << ci
                 pos, in_vc, in_port, vc_state = cell_info[ci]
                 buf = vc_state.buffer
                 out_vc = vc_state.out_vc
                 if out_vc is None:
-                    # va_need: route (once) and attempt VC allocation.
+                    # need: route (once) and attempt VC allocation.
                     packet = buf[0].packet
                     out_port = vc_state.out_port
                     if out_port is None:
@@ -328,11 +310,11 @@ class BatchedCore:
                         out_vc = vc_state.out_vc
                         if out_vc is None:
                             if blockable:
-                                va_blocked[ci] = True
-                                blocked[eject_pos].append(ci)
+                                blocked |= bit
+                                blocked_by_pos[eject_pos] |= bit
                             continue
-                        va_need[ci] = False
-                        va_ok[ci] = True  # ejection credits are unbounded
+                        need ^= bit
+                        ok |= bit  # ejection credits are unbounded
                     else:
                         o = vc_state.out_pos
                         if fixed is not None:
@@ -354,28 +336,30 @@ class BatchedCore:
                         else:
                             out_vc = freevc_by_pos[o](allowed)
                         if out_vc is None:
-                            va_blocked[ci] = True
-                            blocked[o].append(ci)
+                            blocked |= bit
+                            blocked_by_pos[o] |= bit
                             continue
                         owner_by_pos[o][out_vc] = (in_port, in_vc)
                         vc_state.out_vc = out_vc
-                        va_need[ci] = False
+                        need ^= bit
                         if tracer is not None:
                             tracer.on_vc_alloc(packet, coord, out_port,
                                                out_vc, now)
                         if credits_by_pos[o][out_vc] <= 0:
                             continue
-                        va_ok[ci] = True
+                        ok |= bit
                 o = vc_state.out_pos
                 # iSLIP pointer updates for the uncontended grant.
                 out_ptr[o] = (pos + 1) % a_n_in
                 in_ptr[pos] = (in_vc + 1) % a_num_vcs
                 flit = buf.popleft()
                 if buf:
-                    head_ready[ci] = buf[0].ready
+                    nr = buf[0].ready
+                    if nr > now:
+                        ready ^= bit
+                        pending[nr] = pending.get(nr, 0) | bit
                 else:
-                    head_ready[ci] = NEVER
-                    vc_masks[pos] &= ~(1 << in_vc)
+                    ready ^= bit
                 router.occupancy -= 1
                 moved += 1
                 credits_list = credits_by_pos[o]
@@ -398,16 +382,15 @@ class BatchedCore:
                 if flit.is_tail:
                     owner_by_pos[o][out_vc] = None
                     vc_state.reset_route()
-                    va_ok[ci] = False
+                    ok ^= bit
                     if buf:
-                        va_need[ci] = True
-                    bl = blocked[o]
-                    if bl:
-                        for bc in bl:
-                            va_blocked[bc] = False
-                        del bl[:]
+                        need |= bit
+                    freed = blocked_by_pos[o]
+                    if freed:
+                        blocked &= ~freed
+                        blocked_by_pos[o] = 0
                 elif credits == 0:
-                    va_ok[ci] = False
+                    ok ^= bit
                 continue
 
             # General path: several actionable cells in this router.
@@ -429,9 +412,10 @@ class BatchedCore:
             for ci in ordered:
                 pos, in_vc, in_port, vc_state = cell_info[ci]
                 if vc_state.out_vc is None:
-                    # va_need cell: front flit is an eligible head without
-                    # an output VC — route and attempt VC allocation,
-                    # mirroring the fused pass in Router.step.
+                    # need cell: front flit is a ready head without an
+                    # output VC — route and attempt VC allocation, as the
+                    # reference's route/VA scan does.
+                    bit = 1 << ci
                     packet = vc_state.buffer[0].packet
                     out_port = vc_state.out_port
                     if out_port is None:
@@ -476,11 +460,11 @@ class BatchedCore:
                                             now)
                         if vc_state.out_vc is None:
                             if blockable:
-                                va_blocked[ci] = True
-                                blocked[eject_pos].append(ci)
+                                blocked |= bit
+                                blocked_by_pos[eject_pos] |= bit
                             continue
-                        va_need[ci] = False
-                        va_ok[ci] = True  # ejection credits are unbounded
+                        need ^= bit
+                        ok |= bit  # ejection credits are unbounded
                     else:
                         o = vc_state.out_pos
                         if fixed is not None:
@@ -500,20 +484,20 @@ class BatchedCore:
                         else:
                             vc = freevc_by_pos[o](allowed)
                         if vc is None:
-                            va_blocked[ci] = True
-                            blocked[o].append(ci)
+                            blocked |= bit
+                            blocked_by_pos[o] |= bit
                             continue
                         owner_by_pos[o][vc] = (in_port, in_vc)
                         vc_state.out_vc = vc
-                        va_need[ci] = False
+                        need ^= bit
                         if tracer is not None:
                             tracer.on_vc_alloc(packet, coord, out_port, vc,
                                                now)
                         if credits_by_pos[o][vc] <= 0:
                             continue
-                        va_ok[ci] = True
-                # va_ok cell (or a va_need cell that just allocated with
-                # credits): an eligible switch request.
+                        ok |= bit
+                # ok cell (or a need cell that just allocated with
+                # credits): a switch request.
                 o = vc_state.out_pos
                 for req in reqs:
                     if req[0] == pos or req[2] == o:
@@ -559,13 +543,16 @@ class BatchedCore:
                     # the iSLIP pointers here (grant-only updates).
                     out_ptr[o] = (pos + 1) % a_n_in
                     in_ptr[pos] = (vc_idx + 1) % a_num_vcs
+                bit = 1 << ci
                 buf = vc_state.buffer
                 flit = buf.popleft()
                 if buf:
-                    head_ready[ci] = buf[0].ready
+                    nr = buf[0].ready
+                    if nr > now:
+                        ready ^= bit
+                        pending[nr] = pending.get(nr, 0) | bit
                 else:
-                    head_ready[ci] = NEVER
-                    vc_masks[pos] &= ~(1 << vc_idx)
+                    ready ^= bit
                 router.occupancy -= 1
                 moved += 1
                 out_vc = vc_state.out_vc
@@ -587,18 +574,21 @@ class BatchedCore:
                 if flit.is_tail:
                     owner_by_pos[o][out_vc] = None
                     vc_state.reset_route()
-                    va_ok[ci] = False
+                    ok ^= bit
                     if buf:
-                        va_need[ci] = True
-                    bl = blocked[o]
-                    if bl:
-                        for bc in bl:
-                            va_blocked[bc] = False
-                        del bl[:]
+                        need |= bit
+                    freed = blocked_by_pos[o]
+                    if freed:
+                        blocked &= ~freed
+                        blocked_by_pos[o] = 0
                 elif credits == 0:
-                    va_ok[ci] = False
+                    ok ^= bit
 
-        self.net._buffered_flits -= moved
-        stats = self.net.stats
+        self.ready = ready
+        self.ok = ok
+        self.need = need
+        self.blocked = blocked
+        net._buffered_flits -= moved
+        stats = net.stats
         stats.crossbar_traversals += moved
         stats.buffer_reads += moved

@@ -20,8 +20,7 @@ class Channel:
 
     __slots__ = ("latency", "credit_delay", "src_router", "src_port",
                  "dst_router", "dst_port", "_flits", "_credits",
-                 "flits_carried", "watch", "tracer", "delivered_credits",
-                 "_dst_pos", "_src_out")
+                 "flits_carried", "watch", "tracer", "_dst_pos", "_src_out")
 
     def __init__(self, latency: int = 1, credit_delay: int = 1) -> None:
         if latency < 1:
@@ -42,10 +41,6 @@ class Channel:
         #: Opt-in per-link flit tracer (``repro.telemetry``); ``None``
         #: keeps the send path at a single attribute test.
         self.tracer = None
-        #: Credits handed upstream by the last ``deliver`` call; the
-        #: event-driven network reads it to wake the credit-receiving
-        #: router (a blocked router sleeps until credits arrive).
-        self.delivered_credits = 0
         self._dst_pos = -1
         self._src_out = None
 
@@ -134,7 +129,6 @@ class Channel:
                     if not flits or flits[0][0] > cycle:
                         break
         credits = self._credits
-        ncred = 0
         if credits and credits[0][0] <= cycle:
             src = self.src_router
             out = self._src_out
@@ -147,15 +141,12 @@ class Channel:
                 while True:
                     _, vc = popleft()
                     src.deliver_credit(self.src_port, vc)
-                    ncred += 1
                     if not credits or credits[0][0] > cycle:
                         break
             else:
                 while True:
                     _, vc = popleft()
                     src.deliver_credit_port(out, vc)
-                    ncred += 1
                     if not credits or credits[0][0] > cycle:
                         break
-        self.delivered_credits = ncred
         return delivered

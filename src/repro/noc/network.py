@@ -17,14 +17,14 @@ from __future__ import annotations
 import os
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from .batched import BatchedCore
 from .channel import Channel
 from .invariants import DeadlockError, InvariantChecker, format_network_state
 from .packet import Flit, Packet
-from .router import NEVER, Router, RouterSpec
+from .router import Router, RouterSpec
 from .routing import RoutingAlgorithm
 from .stats import NetworkStats
 from .topology import Coord, Direction, Mesh, injection_port
@@ -56,7 +56,6 @@ class NocParams:
 #: managers of ``MeshNetwork``, ``NetworkSystem`` and ``Accelerator``.
 STEPPER_SWITCHES = {
     "reference": "use_reference_stepper",
-    "event": "use_event_stepper",
     "batched": "use_batched_stepper",
 }
 
@@ -64,7 +63,7 @@ STEPPER_SWITCHES = {
 class _StepperContext:
     """Re-entrant backend switch: applies ``backend`` on entry, restores
     whatever was active before on exit.  Works on any object exposing
-    ``stepper_backend`` and the three ``use_*_stepper`` methods."""
+    ``stepper_backend`` and the ``use_*_stepper`` methods."""
 
     def __init__(self, target, backend: str) -> None:
         if backend not in STEPPER_SWITCHES:
@@ -139,28 +138,14 @@ class MeshNetwork:
         #: Total flits buffered inside routers (maintained by both steppers;
         #: makes ``idle`` O(1)).
         self._buffered_flits = 0
-        #: Lazy-deletion min-heap of ``(wake_cycle, router_index)`` driving
-        #: the event-driven router phase; a heap entry is genuine iff it
-        #: equals the router's current ``wake`` (see DESIGN.md §13).
-        self._wake_heap: List[Tuple[int, int]] = []
-        #: Reused per-cycle scratch (drained channels / due router indices).
+        #: Reused per-cycle scratch (drained channels).
         self._channel_scratch: List[Channel] = []
-        self._due_scratch: List[int] = []
-        #: Routers re-armed for exactly the next cycle (heap bypass).
-        self._due_next: List[int] = []
-        #: Debug escape hatch: run the reference exhaustive-scan stepper
-        #: instead of the event-driven one (also flippable at idle via
-        #: ``use_reference_stepper``/``use_event_stepper``).  The batched
-        #: struct-of-arrays core (``REPRO_BATCHED_STEPPER=1`` /
-        #: ``use_batched_stepper``) is the third backend; the reference
-        #: env var wins when both are set.
+        #: The batched core (``repro.noc.batched``) is the default router
+        #: phase; ``REPRO_REFERENCE_STEPPER=1`` (or, at idle,
+        #: ``use_reference_stepper``) selects the exhaustive-scan oracle.
         self._scan_stepper = os.environ.get(
             "REPRO_REFERENCE_STEPPER") == "1"
-        self._batched = None
-        self._want_batched = (not self._scan_stepper and os.environ.get(
-            "REPRO_BATCHED_STEPPER") == "1")
-        self._event_stepper = not (self._scan_stepper
-                                   or self._want_batched)
+        self._batched: Optional[BatchedCore] = None
 
         self.routers: Dict[Coord, Router] = {}
         self.channels: List[Channel] = []
@@ -187,8 +172,7 @@ class MeshNetwork:
         for idx, router in enumerate(self._router_list):
             router.net_index = idx
             router.finalize()
-        if self._want_batched:
-            from .batched import BatchedCore
+        if not self._scan_stepper:
             self._batched = BatchedCore(self)
 
         #: Source-side state is indexed by node row (mesh order, equal to
@@ -207,8 +191,8 @@ class MeshNetwork:
         #: A fruitless pass has no side effects, and its outcome can only
         #: change when a grant pops a flit out of an injection-port buffer
         #: (space frees) or a fresh packet becomes the head of an idle
-        #: source port — both of which clear the flag.  The event/scan
-        #: steppers ignore it (they re-attempt every cycle).
+        #: source port — both of which clear the flag.  The scan stepper
+        #: ignores it (it re-attempts every cycle).
         self._source_stuck: List[bool] = []
         for idx, coord in enumerate(mesh.coords()):
             ports = [
@@ -306,16 +290,15 @@ class MeshNetwork:
         return True
 
     def step(self, cycle: Optional[int] = None) -> None:
-        """Advance one interconnect cycle (event-driven).
+        """Advance one interconnect cycle.
 
-        Only channels with traffic in flight are delivered, only routers
-        whose wake time is due are stepped (in ascending router-index order,
-        i.e. exactly the mesh order the reference scan walks), and the
-        source drain runs only for nodes with queued flits.  A fully idle
-        network reduces to a cycle-counter bump.  The scheduling is
-        deterministic, so results are bit-identical to the exhaustive scan
-        (``_step_scan``, its twin — semantic changes must land in both; the
-        golden tests in tests/test_event_core.py compare them).
+        Channels with traffic in flight deliver (in insertion order), the
+        batched core's screen runs the router phase (see
+        ``repro.noc.batched``), then sources drain, skipping nodes whose
+        last drain pass was fruitless.  A fully idle network reduces to a
+        cycle-counter bump.  ``_step_scan`` is the exhaustive twin — any
+        semantic change must land in both; the golden tests in
+        tests/test_stepper_equivalence.py compare them bit for bit.
         """
         self.cycle = self.cycle + 1 if cycle is None else cycle
         now = self.cycle
@@ -323,179 +306,10 @@ class MeshNetwork:
         if self._scan_stepper:
             self._step_scan(now)
             return
-        if self._batched is not None:
-            self._step_batched(now)
-            return
-        heap = self._wake_heap
         if self._active_channels:
-            # ``deliver`` never activates or deactivates other channels, so
-            # iterate the dict directly; drained channels are collected into
-            # a reused scratch list instead of copying the dict every cycle.
-            scratch = self._channel_scratch
-            for channel in self._active_channels:
-                n = channel.deliver(now)
-                if n:
-                    self._buffered_flits += n
-                    self.stats.link_flit_hops += n
-                    self.stats.buffer_writes += n
-                    dst = channel.dst_router
-                    # The arriving flits sleep through the pipeline; any
-                    # earlier obligation is already in ``dst.wake``.
-                    wake = now + dst.pipeline_latency
-                    if wake < dst.wake:
-                        dst.wake = wake
-                        heappush(heap, (wake, dst.net_index))
-                if channel.delivered_credits:
-                    # Credits can unblock the receiving router this very
-                    # cycle (the channel phase precedes the router phase,
-                    # exactly as the scan sees it).
-                    src = channel.src_router
-                    if src.occupancy and now < src.wake:
-                        src.wake = now
-                        heappush(heap, (now, src.net_index))
-                if not channel.busy:
-                    scratch.append(channel)
-            if scratch:
-                for channel in scratch:
-                    del self._active_channels[channel]
-                del scratch[:]
-        due_next = self._due_next
-        if due_next or (heap and heap[0][0] <= now):
-            routers = self._router_list
-            due = self._due_scratch
-            if due_next:
-                # Routers that re-armed for exactly the next cycle bypass
-                # the heap (the common case under load: a blocked router
-                # re-arms every cycle).  Nothing can schedule them earlier,
-                # so every entry is a valid claim.
-                for idx in due_next:
-                    router = routers[idx]
-                    if router.wake == now:
-                        router.wake = NEVER
-                        due.append(idx)
-                del due_next[:]
-            while heap and heap[0][0] <= now:
-                wake, idx = heappop(heap)
-                router = routers[idx]
-                if router.wake == wake:     # genuine entry, not superseded
-                    router.wake = NEVER
-                    due.append(idx)
-            # Ascending index = mesh coords order = reference scan order, so
-            # ejection handlers (and thus RNG draws) fire in the same order.
-            due.sort()
-            next_cycle = now + 1
-            for idx in due:
-                router = routers[idx]
-                before = router.occupancy
-                for flit, _port in router.step(now):
-                    self._eject(flit, now)
-                moved = before - router.occupancy
-                self._buffered_flits -= moved
-                self.stats.crossbar_traversals += moved
-                self.stats.buffer_reads += moved
-                wake = router.next_wake(now)
-                if wake != NEVER:
-                    router.wake = wake
-                    if wake == next_cycle:
-                        due_next.append(idx)
-                    else:
-                        heappush(heap, (wake, idx))
-            del due[:]
-        if self._source_flits:
-            occ = self._source_occ
-            for idx, (coord, ports, router) in enumerate(self._source_rows):
-                if occ[idx]:
-                    for port in ports:
-                        self._drain_source(idx, coord, router, port, now)
-        checker = self.checker
-        if checker is not None:
-            checker.on_cycle(now)
-
-    def _step_scan(self, now: int) -> None:
-        """Reference exhaustive-scan cycle body (the pre-event-core loop).
-
-        Twin of the event-driven body in ``step``; kept as the bit-identity
-        oracle and the benchmark baseline (``REPRO_REFERENCE_STEPPER=1``).
-        """
-        flits_arrived = False
-        if self._active_channels:
-            scratch = self._channel_scratch
-            for channel in self._active_channels:
-                n = channel.deliver(now)
-                if n:
-                    flits_arrived = True
-                    self._buffered_flits += n
-                    self.stats.link_flit_hops += n
-                    self.stats.buffer_writes += n
-                if not channel.busy:
-                    scratch.append(channel)
-            if scratch:
-                for channel in scratch:
-                    del self._active_channels[channel]
-                del scratch[:]
-        if self._routers_active or flits_arrived:
-            busy = False
-            for router in self._router_list:
-                if router.occupancy:
-                    before = router.occupancy
-                    for flit, _port in router.step_reference(now):
-                        self._eject(flit, now)
-                    moved = before - router.occupancy
-                    self._buffered_flits -= moved
-                    self.stats.crossbar_traversals += moved
-                    self.stats.buffer_reads += moved
-                    if router.occupancy:
-                        busy = True
-            self._routers_active = busy
-        if self._source_flits:
-            occ = self._source_occ
-            for idx, (coord, ports, router) in enumerate(self._source_rows):
-                if occ[idx]:
-                    for port in ports:
-                        self._drain_source(idx, coord, router, port, now)
-        checker = self.checker
-        if checker is not None:
-            checker.on_cycle(now)
-
-    def _step_batched(self, now: int) -> None:
-        """Batched struct-of-arrays cycle body (see ``repro.noc.batched``).
-
-        Twin of the event-driven body in ``step`` and the exhaustive
-        ``_step_scan``: channels deliver in insertion order, then one
-        vectorized sweep replaces the per-router phase, then sources
-        drain.  Semantic changes must land in all three backends; the
-        golden matrix in tests/test_stepper_equivalence.py compares them.
-
-        The channel and source phases are split out so the fleet stepper
-        (``repro.noc.fleet``) can interleave them with one global screen.
-        """
-        self._batched_channels(now)
+            self._deliver_channels(now)
         if self._buffered_flits:
             self._batched.sweep(now)
-        self._batched_sources(now)
-        checker = self.checker
-        if checker is not None:
-            checker.on_cycle(now)
-
-    def _batched_channels(self, now: int) -> None:
-        """Channel-delivery phase of the batched cycle body."""
-        if self._active_channels:
-            scratch = self._channel_scratch
-            for channel in self._active_channels:
-                n = channel.deliver(now)
-                if n:
-                    self._buffered_flits += n
-                    self.stats.link_flit_hops += n
-                    self.stats.buffer_writes += n
-                if not channel.busy:
-                    scratch.append(channel)
-            if scratch:
-                for channel in scratch:
-                    del self._active_channels[channel]
-                del scratch[:]
-
-    def _batched_sources(self, now: int) -> None:
-        """Source-drain phase of the batched cycle body."""
         if self._source_flits:
             occ = self._source_occ
             stuck = self._source_stuck
@@ -516,57 +330,97 @@ class MeshNetwork:
                         # until a grant frees injection space or a fresh
                         # head packet arrives.
                         stuck[idx] = True
+        checker = self.checker
+        if checker is not None:
+            checker.on_cycle(now)
+
+    def _step_scan(self, now: int) -> None:
+        """Reference exhaustive-scan cycle body: every occupied router
+        steps every cycle and every occupied source node re-attempts its
+        drain.  Twin of ``step``; kept as the bit-identity oracle and the
+        benchmark baseline (``REPRO_REFERENCE_STEPPER=1``).
+        """
+        arrived = self._deliver_channels(now) if self._active_channels else 0
+        if self._routers_active or arrived:
+            busy = False
+            for router in self._router_list:
+                if router.occupancy:
+                    before = router.occupancy
+                    for flit, _port in router.step(now):
+                        self._eject(flit, now)
+                    moved = before - router.occupancy
+                    self._buffered_flits -= moved
+                    self.stats.crossbar_traversals += moved
+                    self.stats.buffer_reads += moved
+                    if router.occupancy:
+                        busy = True
+            self._routers_active = busy
+        if self._source_flits:
+            occ = self._source_occ
+            for idx, (coord, ports, router) in enumerate(self._source_rows):
+                if occ[idx]:
+                    for port in ports:
+                        self._drain_source(idx, coord, router, port, now)
+        checker = self.checker
+        if checker is not None:
+            checker.on_cycle(now)
+
+    def _deliver_channels(self, now: int) -> int:
+        """Channel phase: deliver every busy channel's due flits and
+        credits, retire channels that went idle; returns the number of
+        flits handed to routers."""
+        arrived = 0
+        scratch = self._channel_scratch
+        # ``deliver`` never activates or deactivates other channels, so
+        # iterate the dict directly; drained channels are collected into a
+        # reused scratch list instead of copying the dict every cycle.
+        for channel in self._active_channels:
+            arrived += channel.deliver(now)
+            if not channel.busy:
+                scratch.append(channel)
+        if scratch:
+            for channel in scratch:
+                del self._active_channels[channel]
+            del scratch[:]
+        if arrived:
+            self._buffered_flits += arrived
+            stats = self.stats
+            stats.link_flit_hops += arrived
+            stats.buffer_writes += arrived
+        return arrived
 
     def use_reference_stepper(self) -> None:
         """Switch to the exhaustive-scan stepper (debug/benchmark oracle).
-
-        Only legal while idle: the event scheduler's per-router anchors are
-        meaningless to the scan and vice versa.
-        """
+        Idle-only."""
         self._switch_stepper()
         self._scan_stepper = True
 
-    def use_event_stepper(self) -> None:
-        """Switch (back) to the event-driven stepper.  Idle-only."""
-        self._switch_stepper()
-        self._event_stepper = True
-
     def use_batched_stepper(self) -> None:
-        """Switch to the batched struct-of-arrays stepper.  Idle-only."""
+        """Switch (back) to the batched core, the default.  Idle-only."""
         self._switch_stepper()
-        from .batched import BatchedCore
         self._batched = BatchedCore(self)
 
     def _switch_stepper(self) -> None:
         """Common teardown for a stepper switch: only legal while idle
-        (the schedulers' per-router anchors are mutually meaningless),
-        resets every backend to its inert state."""
+        (the batched core's masks start empty), resets every backend to
+        its inert state."""
         if not self.idle:
             raise RuntimeError(
                 f"network {self.name!r}: stepper can only be switched while "
                 "idle")
         self._scan_stepper = False
-        self._event_stepper = False
         if self._batched is not None:
             self._batched.detach()
             self._batched = None
-        del self._wake_heap[:]
-        del self._due_next[:]
-        for router in self._router_list:
-            router.wake = NEVER
         self._source_stuck[:] = [False] * len(self._source_stuck)
 
     @property
     def stepper_backend(self) -> str:
         """Name of the active cycle-core backend."""
-        if self._scan_stepper:
-            return "reference"
-        if self._batched is not None:
-            return "batched"
-        return "event"
+        return "reference" if self._scan_stepper else "batched"
 
     def use_stepper(self, backend: str):
-        """Context manager: run with ``backend`` ("reference" | "event" |
+        """Context manager: run with ``backend`` ("reference" |
         "batched"), restoring the previous backend on exit.  Nests; both
         the switch and the restore are idle-only like ``use_*_stepper``."""
         return _StepperContext(self, backend)
@@ -641,14 +495,6 @@ class MeshNetwork:
             self._buffered_flits += 1
             self.stats.buffer_writes += 1
             self._routers_active = True
-            if self._event_stepper:
-                # The injected flit sleeps through the pipeline; schedule
-                # the router for the flit's ready time.  (The batched core
-                # needs no wake: deliver_flit updated its mirrors.)
-                wake = now + router.pipeline_latency
-                if wake < router.wake:
-                    router.wake = wake
-                    heappush(self._wake_heap, (wake, router.net_index))
             if not port.flits:
                 port.flits = None
                 port.vc = None

@@ -147,15 +147,6 @@ class OpenLoopRunner:
         if telemetry is not None:
             self._cycle_instrumented(telemetry, tag)
             return
-        self._inject_cycle(tag)
-        self.network.step()
-
-    def _inject_cycle(self, tag: Optional[str]) -> None:
-        """Bernoulli injection for one cycle, without stepping the network.
-
-        Split from :meth:`_cycle` so the fleet runner
-        (``repro.noc.fleet.FleetRunner``) can inject for every member and
-        then advance the whole fleet through one lockstep step."""
         net = self.network
         cycle = net.cycle
         rng = self._rng
@@ -173,6 +164,7 @@ class OpenLoopRunner:
                 dest = pick(core, rng)
                 inject(make(core, dest, size, tclass, cycle, payload=tag),
                        cycle)
+        net.step()
 
     def _cycle_instrumented(self, telemetry, tag: Optional[str]) -> None:
         """Telemetry-enabled twin of :meth:`_cycle`: identical simulation

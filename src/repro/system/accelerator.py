@@ -167,7 +167,7 @@ class Accelerator:
         #: single attribute test.
         self.telemetry = None
         #: Debug escape hatch mirroring the network's: run the reference
-        #: exhaustive component loops instead of the event-driven ones.
+        #: exhaustive component loops instead of the wake-gated ones.
         self._reference = os.environ.get("REPRO_REFERENCE_STEPPER") == "1"
 
     # -- plumbing -------------------------------------------------------------
@@ -196,14 +196,14 @@ class Accelerator:
     # -- simulation loop --------------------------------------------------------
 
     def step(self) -> None:
-        """One interconnect cycle (master clock), event-driven.
+        """One interconnect cycle (master clock), wake-gated.
 
         Cores are stepped only when their wake time is due (a skipped
         ``SimtCore.step`` is provably a no-op), drained MCs and idle DRAM
         channels take an inline idle tick that performs exactly the
         mutations their full step would.  ``_step_reference`` is the
-        exhaustive twin (the pre-event-core loop); both must change
-        together and the golden tests compare them bit for bit.
+        exhaustive twin; both must change together and the golden tests
+        compare them bit for bit.
         """
         telemetry = self.telemetry
         if telemetry is not None:
@@ -254,8 +254,8 @@ class Accelerator:
             check_accelerator(self)
 
     def _step_reference(self) -> None:
-        """Reference exhaustive step (the pre-event-core loop): every core,
-        MC and DRAM channel is stepped every cycle.  Twin of :meth:`step`;
+        """Reference exhaustive step: every core, MC and DRAM channel is
+        stepped every cycle.  Twin of :meth:`step`;
         used as the benchmark baseline and bit-identity oracle."""
         self.icnt_cycle += 1
         now = self.icnt_cycle
@@ -289,16 +289,9 @@ class Accelerator:
         if hasattr(self.network, "use_reference_stepper"):
             self.network.use_reference_stepper()
 
-    def use_event_stepper(self) -> None:
-        """Switch (back) to the event-driven loops.  Drained-state only."""
-        self._reference = False
-        if hasattr(self.network, "use_event_stepper"):
-            self.network.use_event_stepper()
-
     def use_batched_stepper(self) -> None:
-        """Run the networks on the batched SoA core (the chip-level loop
-        stays event-driven — there is no batched chip twin, the dense
-        regime lives inside the interconnect).  Drained-state only."""
+        """Switch (back) to the default loops: wake-gated chip components
+        and the networks' batched core.  Drained-state only."""
         self._reference = False
         if hasattr(self.network, "use_batched_stepper"):
             self.network.use_batched_stepper()
@@ -306,13 +299,14 @@ class Accelerator:
     @property
     def stepper_backend(self) -> str:
         """Name of the active backend (the chip and its networks are
-        switched in lockstep by the ``use_*_stepper`` methods)."""
+        switched in lockstep by the ``use_*_stepper`` methods; an ideal
+        network has no stepper of its own)."""
         if self._reference:
             return "reference"
-        return getattr(self.network, "stepper_backend", "event")
+        return getattr(self.network, "stepper_backend", "batched")
 
     def use_stepper(self, backend: str):
-        """Context manager: run on ``backend`` ("reference" | "event" |
+        """Context manager: run on ``backend`` ("reference" |
         "batched"), restoring the previous backend on exit."""
         return _StepperContext(self, backend)
 

@@ -1,14 +1,15 @@
-"""Determinism contract of the event-driven cycle core.
+"""Determinism contract of the default cycle loops.
 
-The event-driven steppers (wake-scheduled routers in ``MeshNetwork.step``,
-idle-component skipping in ``Accelerator.step``) must produce results that
+The default steppers (the batched core in ``MeshNetwork.step``,
+wake-gated components in ``Accelerator.step``) must produce results that
 are bit-identical to the reference exhaustive scans
 (``use_reference_stepper`` / ``REPRO_REFERENCE_STEPPER=1``).  These golden
 tests pin that contract across the design space — baseline DOR,
 checkerboard routing, and the channel-sliced double network — at low and
-saturated load, with the invariant checker and the packet tracer both off
-and on.  They also pin the precomputed ``VcConfig`` tables against their
-dynamic oracle and the ``__slots__`` layout of Packet/Flit.
+saturated load over longer windows than tests/test_stepper_equivalence.py,
+with the invariant checker and the packet tracer both off and on.  They
+also pin the precomputed ``VcConfig`` tables against their dynamic oracle
+and the ``__slots__`` layout of Packet/Flit.
 """
 
 import dataclasses
@@ -58,9 +59,10 @@ def _open_point(design_name, rate, *, reference=False, checked=False,
 @pytest.mark.parametrize("design_name", DESIGNS)
 @pytest.mark.parametrize("rate", RATES)
 def test_open_loop_bit_identity(design_name, rate):
-    """Event stepper == reference scan, with checker/tracer off and on.
+    """Default (batched) stepper == reference scan, with checker/tracer
+    off and on.
 
-    The checked and traced legs run under the event stepper (the code
+    The checked and traced legs run under the default stepper (the code
     under test); instrumentation must not perturb results either.
     """
     oracle, _ = _open_point(design_name, rate, reference=True)
@@ -75,7 +77,7 @@ def test_open_loop_bit_identity(design_name, rate):
 
 @pytest.mark.parametrize("design_name", ("TB-DOR", "Double-CP-CR"))
 def test_closed_loop_bit_identity(design_name):
-    """Accelerator event step == exhaustive twin on a finite kernel whose
+    """Accelerator default step == exhaustive twin on a finite kernel whose
     drained tail exercises the idle fast paths (finished cores, idle MCs
     and DRAM channels, empty networks)."""
 

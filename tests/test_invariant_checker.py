@@ -179,6 +179,22 @@ class TestFaultInjection:
         problems = audit_network(net)
         assert any("occupancy counter" in p for p in problems)
 
+    def test_cleared_screen_ready_bit_detected(self):
+        """Dropping a ready front flit from the batched core's screen
+        would starve its cell for good; the audit must name the cell."""
+        net = make_network()
+        drive_random_traffic(net)
+        core = net._batched
+        for _ in range(200):
+            if core.ready:
+                break
+            net.step()
+        assert core.ready, "traffic never left a ready front waiting"
+        assert audit_network(net) == []
+        core.ready &= core.ready - 1       # clear the lowest ready bit
+        problems = audit_network(net)
+        assert any("screen ready bit" in p for p in problems)
+
     def test_checker_audit_raises_with_dump(self):
         net = quiesced_network()
         mesh_out_port(net).credits[0] -= 1

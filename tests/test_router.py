@@ -117,6 +117,12 @@ class TestRouterBasics:
         router.deliver_flit(injection_port(), 0, flit, 0)
         assert len(router.step(1)) == 1
 
+    def test_zero_stage_pipeline_rejected(self):
+        # The batched core books each front flit for a strictly later
+        # cycle; a flit ready on its own arrival cycle would be missed.
+        with pytest.raises(ValueError, match="pipeline_latency"):
+            make_router(latency=0)
+
     def test_buffer_overflow_detected(self):
         router = make_router(depth=2)
         packet = read_reply(Coord(0, 2), Coord(5, 2), created=0)

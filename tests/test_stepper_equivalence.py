@@ -1,52 +1,49 @@
-"""Four-way determinism contract of the cycle-core backends.
+"""Determinism contract of the cycle cores.
 
-The repo carries four interchangeable ways to step a network: the
-reference exhaustive scan (``use_reference_stepper`` /
-``REPRO_REFERENCE_STEPPER``), the event-driven stepper (wake-scheduled
-routers, DESIGN.md §13), the batched struct-of-arrays core
-(``use_batched_stepper`` / ``REPRO_BATCHED_STEPPER``, DESIGN.md §14) and
-the lockstep fleet stepper that batches several independent simulations
-through one shared screen (``repro.noc.fleet`` / ``REPRO_FLEET``,
-DESIGN.md §18).  They must be bit-identical — not statistically close —
-on every design the builder can produce, or a result could silently
-depend on which backend happened to run it.
+The repo carries two interchangeable ways to step a network: the
+batched core (the construction default, DESIGN.md §14) and the
+reference exhaustive scan it must match (``use_reference_stepper`` /
+``REPRO_REFERENCE_STEPPER``).  They must be bit-identical — not
+statistically close — on every design the builder can produce, or a
+result could silently depend on which backend happened to run it.
 
-This module pins that contract four ways:
+This module pins that contract:
 
 * a golden matrix over the design space (baseline DOR, checkerboard
-  routing, channel-sliced double network) at low and saturated load, with
-  the invariant checker and packet tracer off and on, asserting equal
-  result payloads, equal ``NetworkStats`` snapshots and equal final
-  network state dumps for every backend — including a fleet leg where
-  the cell under test rides in a heterogeneous lockstep fleet;
+  routing, channel-sliced double network) at low and saturated load,
+  four ways — reference, default, default with the invariant checker,
+  default with the packet tracer — asserting equal result payloads,
+  equal ``NetworkStats`` snapshots and equal final network state dumps;
+* closed-loop runs of the chip on both backends;
 * a randomized fuzz sweep (seeds, mesh shapes, injection rates, VC/buffer
-  configurations) comparing batched — and mixed-shape fleets — against
-  reference;
-* the selection plumbing itself — env-var precedence and the nesting /
-  restore behaviour of the ``use_stepper`` context helper — plus the
-  ``audit_event_scheduling`` mirror audit under the batched core and
-  mid-stream under a fleet.
+  configurations) comparing the default core against reference;
+* the selection plumbing itself — the construction default, env-var
+  override and the nesting / restore behaviour of the ``use_stepper``
+  context helper — plus the ``audit_event_scheduling`` screen audit
+  mid-stream under the default core.
 """
 
 import dataclasses
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core.builder import (build, checked_variant, design_by_name,
                                 open_loop_variant)
-from repro.noc.fleet import FleetRunner
 from repro.noc.invariants import audit_event_scheduling, format_system_state
 from repro.noc.openloop import OpenLoopRunner
 from repro.noc.stats import merge_stats
 from repro.noc.topology import Mesh
 from repro.noc.traffic import UniformManyToFew
-from repro.system.accelerator import build_chip
+from repro.system.accelerator import build_chip, perfect_chip
 from repro.telemetry import TelemetryHub, TelemetrySpec
 from repro.workloads.profiles import profile
 
-BACKENDS = ("reference", "event", "batched")
 #: Baseline, checkerboard routing, channel-sliced double network.
 DESIGNS = ("TB-DOR", "CP-CR-4VC", "Double-CP-CR")
 #: Well below and well past saturation of the 6x6 baseline mesh.
@@ -59,10 +56,9 @@ SEED = 11
 def _select(system, backend):
     if backend == "reference":
         system.use_reference_stepper()
-    elif backend == "batched":
-        system.use_batched_stepper()
     else:
-        assert backend == "event"  # the construction-time default
+        assert backend == "batched"
+        system.use_batched_stepper()
 
 
 def _normalized_state(system):
@@ -110,110 +106,67 @@ def _stats_snapshot(system):
     return snapshot
 
 
-def _open_member(design_name, rate, *, seed=SEED, checked=False,
-                 traced=False):
-    """Build one open-loop (system, runner, hub) cell without running it
-    — the golden tests run it solo, the fleet legs enlist it in a
-    :class:`FleetRunner`."""
+def _open_cell(design_name, rate, backend, *, checked=False, traced=False):
     design = open_loop_variant(design_by_name(design_name))
     if checked:
         design = checked_variant(design, check_interval=32,
                                  watchdog_cycles=20_000)
-    system = build(design, Mesh(6, 6), num_mcs=8, seed=seed)
+    system = build(design, Mesh(6, 6), num_mcs=8, seed=SEED)
+    _select(system, backend)
     hub = None
     if traced:
         hub = TelemetryHub(TelemetrySpec(trace=True))
         hub.attach_network(system)
     runner = OpenLoopRunner(system, system.compute_nodes, system.mc_nodes,
                             UniformManyToFew(system.mc_nodes), rate,
-                            seed=seed)
-    return system, runner, hub
-
-
-def _cell(system, runner, point):
-    return {
+                            seed=SEED)
+    point = runner.run(warmup=WARMUP, measure=MEASURE)
+    cell = {
         "payload": point.to_json(),
         "stats": _stats_snapshot(system),
         "state": _normalized_state(system),
         "hist": runner._lat_hist.summary(),
     }
-
-
-def _open_cell(design_name, rate, backend, *, checked=False, traced=False):
-    system, runner, hub = _open_member(design_name, rate, checked=checked,
-                                       traced=traced)
-    _select(system, backend)
-    point = runner.run(warmup=WARMUP, measure=MEASURE)
-    return _cell(system, runner, point), hub
+    return cell, hub
 
 
 @pytest.mark.parametrize("design_name", DESIGNS)
 @pytest.mark.parametrize("rate", RATES)
 def test_four_way_golden_matrix(design_name, rate):
-    """reference == event == batched == fleet on result payload, stats
-    snapshot and final state, with the checker and the tracer off and on.
-
-    The instrumented legs run under the batched core (the newest backend;
-    the event core's instrumented legs are pinned in test_event_core.py):
-    read-only instrumentation must not perturb any of the backends either.
-    The fleet leg runs the cell under test inside a heterogeneous
-    lockstep fleet (different sibling designs, rates and seeds) — the
-    planner would only ever fleet low-rate points, but bit-identity must
-    hold at any rate, so both matrix rates get a fleet leg.
-    """
+    """reference == default == default+checker == default+tracer on
+    result payload, stats snapshot and final state: the batched core
+    matches the oracle, and read-only instrumentation perturbs nothing."""
     oracle, _ = _open_cell(design_name, rate, "reference")
-    for backend in ("event", "batched"):
-        cell, _ = _open_cell(design_name, rate, backend)
-        assert cell == oracle, f"{backend} diverged from reference"
+    cell, _ = _open_cell(design_name, rate, "batched")
+    assert cell == oracle, "batched core diverged from reference"
     checked, _ = _open_cell(design_name, rate, "batched", checked=True)
     assert checked == oracle, "invariant checker perturbed the batched core"
     traced, hub = _open_cell(design_name, rate, "batched", traced=True)
     assert traced == oracle, "packet tracer perturbed the batched core"
     assert hub.tracer.completed, "tracer saw no packets"
 
-    members = [
-        _open_member(design_name, rate),
-        _open_member("TB-DOR", 0.05, seed=SEED + 1),
-        _open_member(design_name, rate, seed=SEED + 2),
-    ]
-    points = FleetRunner([r for _, r, _ in members]).run(
-        warmup=WARMUP, measure=MEASURE)
-    system, runner, _ = members[0]
-    assert _cell(system, runner, points[0]) == oracle, \
-        "fleet member diverged from solo reference"
-
-
-def test_fleet_checker_and_tracer_per_member():
-    """The invariant checker and the packet tracer keep working per fleet
-    member, and perturb nothing: the checked-and-traced member's cell is
-    bit-identical to the solo reference run."""
-    oracle, _ = _open_cell("TB-DOR", 0.30, "reference")
-    members = [
-        _open_member("TB-DOR", 0.30, checked=True, traced=True),
-        _open_member("CP-CR-4VC", 0.02, seed=SEED + 1, checked=True),
-    ]
-    points = FleetRunner([r for _, r, _ in members]).run(
-        warmup=WARMUP, measure=MEASURE)
-    system, runner, hub = members[0]
-    assert _cell(system, runner, points[0]) == oracle
-    assert hub.tracer.completed, "tracer saw no packets in the fleet"
-
 
 @pytest.mark.parametrize("design_name", ("TB-DOR", "Double-CP-CR"))
 def test_closed_loop_three_way(design_name):
-    """All three chip-level steppers agree on a finite BIN kernel whose
-    drained tail exercises the idle fast paths."""
+    """reference == default == default with system audits, on a finite
+    BIN kernel whose drained tail exercises the idle fast paths."""
 
-    def run(backend):
-        chip = build_chip(profile("BIN"), design=design_by_name(design_name),
-                          seed=SEED, instructions_per_warp=8)
+    def run(backend, checked=False):
+        design = design_by_name(design_name)
+        if checked:
+            design = checked_variant(design, check_interval=32,
+                                     watchdog_cycles=20_000)
+        chip = build_chip(profile("BIN"), design=design, seed=SEED,
+                          instructions_per_warp=8)
         _select(chip, backend)
+        if checked:
+            chip.enable_checks(64)
         result = chip.run(warmup=100, measure=900).to_json()
         return result, _stats_snapshot(chip.network)
 
     oracle = run("reference")
-    assert run("event") == oracle
     assert run("batched") == oracle
+    assert run("batched", checked=True) == oracle
 
 
 # -- randomized fuzz sweep -------------------------------------------------
@@ -274,52 +227,17 @@ def test_fuzz_batched_matches_reference():
             f"seed={seed}")
 
 
-def test_fuzz_fleet_matches_reference():
-    """Heterogeneous lockstep fleets — members mixing design families,
-    mesh shapes, MC counts, rates and seeds inside one fleet — against
-    solo reference runs, bit for bit including final in-flight state.
-
-    The run_tasks planner only ever fleets same-shape, low-rate points;
-    the core must not care, so the fuzz deliberately fleets what the
-    planner never would."""
-    cases = list(_fuzz_cases(16))
-    for lo in range(0, len(cases), 4):
-        chunk = cases[lo:lo + 4]
-        runners = []
-        for design, mesh, num_mcs, rate, seed in chunk:
-            system = build(design, mesh, num_mcs=num_mcs, seed=seed)
-            runners.append(
-                OpenLoopRunner(system, system.compute_nodes,
-                               system.mc_nodes,
-                               UniformManyToFew(system.mc_nodes), rate,
-                               seed=seed))
-        points = FleetRunner(runners).run(warmup=40, measure=100)
-        for (design, mesh, num_mcs, rate, seed), runner, point in zip(
-                chunk, runners, points):
-            ref = _fuzz_run(design, mesh, num_mcs, rate, seed, "reference")
-            got = {
-                "payload": point.to_json(),
-                "stats": _stats_snapshot(runner.network),
-                "state": _normalized_state(runner.network),
-            }
-            assert got == ref, (
-                f"fleet member diverged: {design.name} mesh="
-                f"{mesh.cols}x{mesh.rows} mcs={num_mcs} rate={rate} "
-                f"seed={seed}")
-
-
 # -- selection plumbing ----------------------------------------------------
 
-def test_batched_stepper_env_var(monkeypatch):
-    """``REPRO_BATCHED_STEPPER=1`` selects the batched core at
-    construction time; ``REPRO_REFERENCE_STEPPER=1`` wins when both are
-    set (the reference is the debugging escape hatch)."""
-    monkeypatch.setenv("REPRO_BATCHED_STEPPER", "1")
+def test_batched_is_default_backend(monkeypatch):
+    """Networks build on the batched core; ``REPRO_REFERENCE_STEPPER=1``
+    selects the reference scan at construction time instead."""
+    monkeypatch.delenv("REPRO_REFERENCE_STEPPER", raising=False)
     system = build(open_loop_variant(design_by_name("TB-DOR")),
                    Mesh(4, 4), num_mcs=4, seed=SEED)
     assert system.stepper_backend == "batched"
     for net in system.networks:
-        assert net._batched is not None
+        assert net._batched is not None and not net._scan_stepper
 
     monkeypatch.setenv("REPRO_REFERENCE_STEPPER", "1")
     system = build(open_loop_variant(design_by_name("TB-DOR")),
@@ -329,64 +247,98 @@ def test_batched_stepper_env_var(monkeypatch):
         assert net._batched is None and net._scan_stepper
 
 
-def test_batched_env_var_on_chip(monkeypatch):
-    """The chip builder honours the env var down through its networks."""
-    monkeypatch.setenv("REPRO_BATCHED_STEPPER", "1")
+def test_batched_is_default_on_chip(monkeypatch):
+    """The chip and its networks build on the default backend."""
+    monkeypatch.delenv("REPRO_REFERENCE_STEPPER", raising=False)
     chip = build_chip(profile("BIN"), design=design_by_name("TB-DOR"),
                       seed=SEED, instructions_per_warp=8)
     assert chip.stepper_backend == "batched"
+    assert chip.network.stepper_backend == "batched"
 
 
 def test_use_stepper_nesting(monkeypatch):
     """The context helper switches and restores, and nests — the inner
     context restores the *outer* backend, not the construction default."""
-    # Pin the construction default so the test also passes when the whole
-    # suite runs under REPRO_BATCHED_STEPPER=1 (the CI batched leg).
-    monkeypatch.delenv("REPRO_BATCHED_STEPPER", raising=False)
     monkeypatch.delenv("REPRO_REFERENCE_STEPPER", raising=False)
     system = build(open_loop_variant(design_by_name("TB-DOR")),
                    Mesh(4, 4), num_mcs=4, seed=SEED)
-    assert system.stepper_backend == "event"
-    with system.use_stepper("batched") as inside:
+    assert system.stepper_backend == "batched"
+    with system.use_stepper("reference") as inside:
         assert inside is system
-        assert system.stepper_backend == "batched"
-        with system.use_stepper("reference"):
-            assert system.stepper_backend == "reference"
-        assert system.stepper_backend == "batched"
-    assert system.stepper_backend == "event"
+        assert system.stepper_backend == "reference"
+        with system.use_stepper("batched"):
+            assert system.stepper_backend == "batched"
+        assert system.stepper_backend == "reference"
+    assert system.stepper_backend == "batched"
+    for backend in ("event", "vectorised"):
+        with pytest.raises(ValueError):
+            system.use_stepper(backend)
+
+    # An ideal network has no stepper of its own: the chip reports the
+    # default and round-trips through the reference chip loop.
+    chip = perfect_chip(profile("BIN"), seed=SEED)
+    assert chip.stepper_backend == "batched"
+    with chip.use_stepper("reference"):
+        assert chip.stepper_backend == "reference"
+    assert chip.stepper_backend == "batched"
     with pytest.raises(ValueError):
-        system.use_stepper("vectorised")
+        chip.use_stepper("event")
+
+
+_NO_NUMPY_SCRIPT = """
+import sys
+from repro.core.builder import build, design_by_name, open_loop_variant
+from repro.noc.openloop import OpenLoopRunner
+from repro.noc.topology import Mesh
+from repro.noc.traffic import UniformManyToFew
+from repro.system.accelerator import build_chip
+from repro.workloads.profiles import profile
+
+system = build(open_loop_variant(design_by_name("Throughput-Effective")),
+               Mesh(6, 6), num_mcs=8, seed=11)
+assert system.stepper_backend == "batched", system.stepper_backend
+runner = OpenLoopRunner(system, system.compute_nodes, system.mc_nodes,
+                        UniformManyToFew(system.mc_nodes), 0.04, seed=11)
+assert runner.run(warmup=50, measure=100).packets_measured > 0
+chip = build_chip(profile("BIN"), design=design_by_name("TB-DOR"), seed=11)
+assert chip.stepper_backend == "batched", chip.stepper_backend
+for _ in range(200):
+    chip.step()
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+assert not loaded, loaded
+print("ok")
+"""
+
+
+def test_default_path_never_imports_numpy():
+    """The default open- and closed-loop paths stay numpy-free: a fresh
+    interpreter runs one open-loop point and some chip cycles without
+    importing it (start-up time and peak RSS depend on that)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 def test_audit_event_scheduling_under_batched():
-    """The struct-of-arrays mirrors match the authoritative object state
-    cell for cell after running hot — audited mid-stream, with traffic
-    still in flight."""
+    """The screen masks and the pending calendar match the authoritative
+    object state cell for cell after running hot — audited mid-stream,
+    with traffic still in flight."""
     system = build(open_loop_variant(design_by_name("TB-DOR")),
                    Mesh(6, 6), num_mcs=8, seed=SEED)
-    system.use_batched_stepper()
     runner = OpenLoopRunner(system, system.compute_nodes, system.mc_nodes,
                             UniformManyToFew(system.mc_nodes), 0.30,
                             seed=SEED)
     runner.run(warmup=50, measure=100)
     for net in system.networks:
         assert net._buffered_flits > 0, "audit must catch a busy network"
+        assert net._batched.pending, "audit must see a booked calendar"
         assert audit_event_scheduling(net) == []
-
-
-def test_audit_event_scheduling_under_fleet():
-    """The SoA mirror audit passes mid-stream on every member of a
-    lockstep fleet — adopted pool views must stay cell-for-cell faithful
-    to the authoritative object state while traffic is still in flight."""
-    members = [
-        _open_member("TB-DOR", 0.30),
-        _open_member("Double-CP-CR", 0.30, seed=SEED + 1),
-    ]
-    FleetRunner([r for _, r, _ in members]).run(warmup=50, measure=100)
-    for system, _, _ in members:
-        for net in system.networks:
-            assert net._buffered_flits > 0, "audit must catch a busy network"
-            assert audit_event_scheduling(net) == []
 
 
 # -- histogram / merged-stats plumbing on the batched path -----------------
@@ -419,7 +371,7 @@ def test_sliced_merge_stats_from_batched_path():
 
 
 def test_merge_stats_per_slice_rates_from_batched_windows():
-    """The PR-3 per-slice rate contract holds for stats windows produced
+    """The per-slice rate contract holds for stats windows produced
     by the batched core: merging windows of *different* cycle counts sums
     the per-slice rates instead of dividing by one window's cycles."""
 
