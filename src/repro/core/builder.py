@@ -165,9 +165,9 @@ def design_constraint_violations(design: NetworkDesign,
     if design.router_latency < 1 or design.half_router_latency < 1:
         bad("positive-router-latency",
             "router pipelines need at least one stage")
-    if design.channel_latency < 0:
-        bad("non-negative-channel-latency",
-            "channel latency cannot be negative")
+    if design.channel_latency < 1:
+        bad("positive-channel-latency",
+            "channels need at least one cycle of latency")
     if design.source_queue_flits is not None \
             and design.source_queue_flits < 1:
         bad("positive-source-queue",

@@ -53,13 +53,16 @@ Two screening arguments let whole classes of work sleep:
   tracked by ``MeshNetwork._source_stuck``.
 
 The router objects stay authoritative: the masks are read-side mirrors,
-updated at the few mutation points — flit delivery and credit 0 -> 1 in
-the router hooks, VC allocation and switch grants here.  Nothing inside
-:meth:`BatchedCore.process_cells` re-enters those hooks (flits and
-credits it sends are queued on channels and delivered in the next
-channel phase), so the grant pass keeps the masks in locals and writes
-them back once.  ``audit_event_scheduling`` cross-checks every mask and
-the calendar against the object state.
+updated at the few mutation points — flit arrival and credit 0 -> 1 in
+the network's channel and source phases, VC allocation and switch
+grants here.  Nothing inside :meth:`BatchedCore.process_cells`
+re-enters those points: the flits and credits it sends are appended to
+the network's link calendars at ``now + latency`` / ``now +
+credit_delay`` (both at least one cycle, see ``repro.noc.channel``) and
+delivered in a later channel phase, so the grant pass keeps the masks
+in locals and writes them back once.
+``audit_event_scheduling`` cross-checks every mask and the calendar
+against the object state.
 """
 
 from __future__ import annotations
@@ -84,20 +87,18 @@ class BatchedCore:
         self.routers = net._router_list
         self.num_vcs = net.vc_config.num_vcs
         v = self.num_vcs
-        bases: List[int] = []
         ends: List[int] = []
         cell_router: List[int] = []
         cell_info: List[tuple] = []
-        total = 0
+        # The cell layout (``Router._cell_base``) is the network's: the
+        # link calendars' sinks carry cell bits built at construction.
         for idx, router in enumerate(self.routers):
-            bases.append(total)
             for pos, (in_port, in_vcs) in enumerate(router._ordered_inputs):
                 for in_vc, vc_state in enumerate(in_vcs):
                     cell_info.append((pos, in_vc, in_port, vc_state))
             ncells = len(router._input_order) * v
             cell_router.extend([idx] * ncells)
-            total += ncells
-            ends.append(total)
+            ends.append(router._cell_base + ncells)
         #: One-past-last cell index of each router; cells of one router
         #: are contiguous (input-position major, VC minor), so ascending
         #: cell order is exactly the reference scan's router-then-port
@@ -120,6 +121,12 @@ class BatchedCore:
         #: Per router, per output position: mask of the router's cells
         #: blocked on that port, flushed when the grant loop frees a VC.
         self.blocked_by_pos: List[List[int]] = []
+        #: Link calendars and their (network-wide) delays: the grant pass
+        #: queues flits and credits straight into the due buckets.
+        self.flit_cal = net._flit_cal
+        self.credit_cal = net._credit_cal
+        self.latency = net._latency
+        self.credit_delay = net._credit_delay
         # Pure-DOR designs (``plan_writes_defaults``) admit two extra fast
         # paths: packets keep ``group == ANY`` for life (nothing mutates
         # it), so the allowed-VC tuple is a fixed per-class pair; and
@@ -145,10 +152,12 @@ class BatchedCore:
             # Per-output-position flat caches: the output ports, their
             # credit/owner lists and the channel endpoints never move after
             # ``finalize``, so the grant loop indexes plain tuples instead
-            # of chasing attributes per moved flit.  ``send_flit`` is None
-            # exactly for ejection ports (they have a sink, no channel).
+            # of chasing attributes per moved flit.  The per-VC flit sinks
+            # are None exactly for ejection ports (they have a sink, no
+            # channel), the per-VC credit events exactly for injection
+            # ports.
             self._rinfo.append((
-                router, bases[idx], len(router._input_order),
+                router, router._cell_base, len(router._input_order),
                 router._req_masks, router._req_outs, router._req_active,
                 router._out_pos,
                 allocator, allocator._in_ptr, allocator._out_ptr,
@@ -159,23 +168,16 @@ class BatchedCore:
                 tuple(out.credits for out in outs),
                 tuple(out.owner for out in outs),
                 tuple(out.free_vc for out in outs),
-                tuple(out.channel.send_flit
+                tuple(out.channel._flit_sinks
                       if out.channel is not None else None for out in outs),
                 tuple(out.port_id for out in outs),
-                tuple(ch.send_credit if ch is not None else None
+                tuple(ch._credit_events if ch is not None else None
                       for ch in router._in_channel_by_pos),
                 {} if dor_pure and not router.spec.half else None,
                 tuple(router._out_pos.get(p, -2)
                       if not isinstance(p, tuple) else -2
                       for p in router._input_order),
             ))
-            router._screen = self
-            router._cell_base = bases[idx]
-
-    def detach(self) -> None:
-        """Drop the router-side mirror hooks (stepper switched away)."""
-        for router in self.routers:
-            router._screen = None
 
     # -- the screen ----------------------------------------------------------
 
@@ -229,6 +231,10 @@ class BatchedCore:
         else:
             fixed_req = fixed_rep = None
         request_class = TrafficClass.REQUEST
+        # Flits and credits sent this cycle, in send order; merged into
+        # the link calendars' due buckets once at the end.
+        flits_sent = []
+        credits_sent = []
         moved = 0
         i = 0
         n = len(cells)
@@ -239,7 +245,7 @@ class BatchedCore:
              allocator, in_ptr, out_ptr, a_num_vcs, a_n_in,
              blockable, blocked_by_pos, eject_pos, coord, node_idx, grants,
              credits_by_pos, owner_by_pos, freevc_by_pos,
-             sendf_by_pos, pid_by_pos, sendc_by_pos,
+             sinks_by_pos, pid_by_pos, credit_events_by_pos,
              route_memo, uturn_by_pos) = rinfo[r]
             # Replay the rotation increments of the skipped cycles: the
             # reference advances ``_va_rotate`` once per occupied cycle.
@@ -367,14 +373,19 @@ class BatchedCore:
                 credits_list[out_vc] = credits
                 if tracer is not None and flit.is_head:
                     tracer.on_switch(flit.packet, coord, pid_by_pos[o], now)
-                send_flit = sendf_by_pos[o]
-                if send_flit is None:
+                sinks = sinks_by_pos[o]
+                if sinks is None:
                     net_eject(flit, now)
                 else:
-                    send_flit(flit, out_vc, now)
-                send_credit = sendc_by_pos[pos]
-                if send_credit is not None:
-                    send_credit(in_vc, now)
+                    sink = sinks[out_vc]
+                    flits_sent.append((sink, flit))
+                    channel = sink[0]
+                    channel.flits_carried += 1
+                    if tracer is not None:
+                        tracer.on_link(channel, flit, now)
+                credit_events = credit_events_by_pos[pos]
+                if credit_events is not None:
+                    credits_sent.append(credit_events[in_vc])
                 else:
                     # Injection port: space freed, a stuck source node at
                     # this router can make progress again.
@@ -561,14 +572,19 @@ class BatchedCore:
                 credits_list[out_vc] = credits
                 if tracer is not None and flit.is_head:
                     tracer.on_switch(flit.packet, coord, pid_by_pos[o], now)
-                send_flit = sendf_by_pos[o]
-                if send_flit is None:
+                sinks = sinks_by_pos[o]
+                if sinks is None:
                     net_eject(flit, now)
                 else:
-                    send_flit(flit, out_vc, now)
-                send_credit = sendc_by_pos[pos]
-                if send_credit is not None:
-                    send_credit(vc_idx, now)
+                    sink = sinks[out_vc]
+                    flits_sent.append((sink, flit))
+                    channel = sink[0]
+                    channel.flits_carried += 1
+                    if tracer is not None:
+                        tracer.on_link(channel, flit, now)
+                credit_events = credit_events_by_pos[pos]
+                if credit_events is not None:
+                    credits_sent.append(credit_events[vc_idx])
                 else:
                     source_stuck[node_idx] = False
                 if flit.is_tail:
@@ -588,6 +604,22 @@ class BatchedCore:
         self.ok = ok
         self.need = need
         self.blocked = blocked
+        # Buckets only ever hold events (never left empty: ``idle`` and
+        # the audits rely on it).
+        if flits_sent:
+            due = now + self.latency
+            bucket = self.flit_cal.get(due)
+            if bucket is None:
+                self.flit_cal[due] = flits_sent
+            else:
+                bucket.extend(flits_sent)
+        if credits_sent:
+            due = now + self.credit_delay
+            bucket = self.credit_cal.get(due)
+            if bucket is None:
+                self.credit_cal[due] = credits_sent
+            else:
+                bucket.extend(credits_sent)
         net._buffered_flits -= moved
         stats = net.stats
         stats.crossbar_traversals += moved

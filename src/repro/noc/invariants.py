@@ -12,6 +12,9 @@ that NoC models use to earn trust:
 * **Credit conservation** — for every (mesh channel, VC): downstream buffer
   occupancy + sender credits + credits in flight + flits in flight equals
   ``vc_buffer_depth`` exactly.
+* **Link calendars** — every bucket of the network's flit and credit
+  calendars is due in the future, non-empty, and holds only events of the
+  network's own channels.
 * **VC discipline** — output-VC ownership and input-VC routing state point
   at each other one-to-one, body flits never lead an unrouted VC, and a
   packet's flits stay contiguous and in order within each VC buffer.
@@ -98,7 +101,7 @@ def audit_flit_conservation(net) -> List[str]:
                 f"{actual} flits actually buffered")
         buffered += actual
 
-    in_flight = sum(ch.flits_in_flight() for ch in net.channels)
+    in_flight = sum(len(bucket) for bucket in net._flit_cal.values())
     reassembling = sum(net._reassembly.values())
 
     accounted = (partial + buffered + in_flight + reassembling
@@ -250,26 +253,45 @@ def audit_event_scheduling(net) -> List[str]:
     return problems
 
 
+def _in_flight_by_link(net) -> Tuple[Dict[tuple, int], Dict[tuple, int]]:
+    """(flits, credits) in flight per (channel, VC), counted in one pass
+    over the link calendars."""
+    flits: Dict[tuple, int] = {}
+    credits: Dict[tuple, int] = {}
+    for bucket in net._flit_cal.values():
+        for sink, _flit in bucket:
+            key = (sink[0], sink[1])
+            flits[key] = flits.get(key, 0) + 1
+    for bucket in net._credit_cal.values():
+        for event in bucket:
+            key = (event[4], event[2])
+            credits[key] = credits.get(key, 0) + 1
+    return flits, credits
+
+
 def audit_credit_conservation(net) -> List[str]:
     """Per (channel, VC): occupancy + credits + credits/flits in flight
     must equal the buffer depth; terminal ejection credits never go
     negative."""
     problems: List[str] = []
     depth = net.params.vc_buffer_depth
+    flits_by_link, credits_by_link = _in_flight_by_link(net)
     for ch in net.channels:
         out = ch.src_router.out_ports[ch.src_port]
         in_vcs = ch.dst_router.in_ports[ch.dst_port]
         for vc in range(len(in_vcs)):
+            flying = flits_by_link.get((ch, vc), 0)
+            returning = credits_by_link.get((ch, vc), 0)
             total = (len(in_vcs[vc].buffer) + out.credits[vc]
-                     + ch.credits_in_flight(vc) + ch.flits_in_flight(vc))
+                     + returning + flying)
             if total != depth:
                 problems.append(
                     f"credit conservation broken on "
                     f"{ch.src_router.coord}->{ch.dst_router.coord} vc {vc}: "
                     f"buffered={len(in_vcs[vc].buffer)} + "
                     f"credits={out.credits[vc]} + "
-                    f"credits-in-flight={ch.credits_in_flight(vc)} + "
-                    f"flits-in-flight={ch.flits_in_flight(vc)} = {total}, "
+                    f"credits-in-flight={returning} + "
+                    f"flits-in-flight={flying} = {total}, "
                     f"expected {depth}")
             if not 0 <= out.credits[vc] <= depth:
                 problems.append(
@@ -284,6 +306,36 @@ def audit_credit_conservation(net) -> List[str]:
                         problems.append(
                             f"terminal credit underflow at {coord} port "
                             f"{port_id} vc {vc}: {credits}")
+    return problems
+
+
+def audit_link_calendars(net) -> List[str]:
+    """The link calendars hold only what the channel phase will pop: no
+    bucket at or before the current cycle (it would never be delivered),
+    no empty bucket (``idle`` tests the calendars' truthiness), and no
+    event of a channel outside ``net.channels``."""
+    problems: List[str] = []
+    now = net.cycle
+    channels = set(net.channels)
+    # Flit events are (sink, flit) with the channel first in the sink;
+    # credit events carry their channel last.
+    for kind, cal, channel_of in (
+            ("flit", net._flit_cal, lambda event: event[0][0]),
+            ("credit", net._credit_cal, lambda event: event[4])):
+        for due, bucket in cal.items():
+            if due <= now:
+                problems.append(
+                    f"stale {kind} calendar bucket due at cycle {due} "
+                    f"(now {now}) with {len(bucket)} events")
+            if not bucket:
+                problems.append(
+                    f"empty {kind} calendar bucket at cycle {due}")
+            for event in bucket:
+                if channel_of(event) not in channels:
+                    problems.append(
+                        f"{kind} calendar bucket at cycle {due} holds an "
+                        f"event of a channel outside the network")
+                    break
     return problems
 
 
@@ -370,6 +422,7 @@ def audit_network(net) -> List[str]:
     """Run every audit on one physical network; returns problem strings."""
     return (audit_flit_conservation(net)
             + audit_credit_conservation(net)
+            + audit_link_calendars(net)
             + audit_vc_discipline(net)
             + audit_event_scheduling(net))
 
@@ -448,6 +501,8 @@ def _oldest_stuck_packet(net):
                     consider(vc_state.buffer[0].packet,
                              f"router {coord} in-port {port_id} vc {vc_idx}",
                              coord)
+    # Per channel, not per calendar bucket: the dump must not depend on
+    # the order in which the routers of one cycle sent their flits.
     for ch in net.channels:
         for flit, vc in ch.peek_flits():
             consider(flit.packet,
@@ -634,8 +689,8 @@ def _network_packets(net) -> Dict[int, Packet]:
             for vc_state in vcs:
                 for flit in vc_state.buffer:
                     packets[flit.packet.pid] = flit.packet
-    for ch in net.channels:
-        for flit, _vc in ch.peek_flits():
+    for bucket in net._flit_cal.values():
+        for _sink, flit in bucket:
             packets[flit.packet.pid] = flit.packet
     return packets
 

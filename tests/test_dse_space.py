@@ -62,8 +62,10 @@ class TestConstraintRules:
         ({"mc_eject_ports": 0}, "positive-mc-ports"),
         ({"router_latency": 0}, "positive-router-latency"),
         ({"half_router_latency": 0}, "positive-router-latency"),
-        ({"channel_latency": -1}, "non-negative-channel-latency"),
+        ({"channel_latency": -1}, "positive-channel-latency"),
         ({"source_queue_flits": 0}, "positive-source-queue"),
+        # 0 used to pass the rules and then fail in ``build``.
+        ({"channel_latency": 0}, "positive-channel-latency"),
     ])
     def test_rule_fires(self, overrides, rule):
         design = materialize_design("bad", BASELINE, **overrides)

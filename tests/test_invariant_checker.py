@@ -195,6 +195,38 @@ class TestFaultInjection:
         problems = audit_network(net)
         assert any("screen ready bit" in p for p in problems)
 
+    def test_empty_calendar_bucket_detected(self):
+        """An empty bucket would keep ``idle`` false forever."""
+        net = quiesced_network()
+        net._credit_cal[net.cycle + 1] = []
+        assert not net.idle
+        problems = audit_network(net)
+        assert any("empty credit calendar bucket" in p for p in problems)
+
+    def test_stale_calendar_bucket_detected(self):
+        """A bucket at or before the current cycle is never popped: its
+        flits would vanish from the network while still counted."""
+        net = make_network()
+        drive_random_traffic(net)
+        for _ in range(200):
+            if net._flit_cal:
+                break
+            net.step()
+        assert net._flit_cal, "traffic never put a flit on a link"
+        assert audit_network(net) == []
+        due = min(net._flit_cal)
+        net._flit_cal[net.cycle] = net._flit_cal.pop(due)
+        problems = audit_network(net)
+        assert any("stale flit calendar bucket" in p for p in problems)
+
+    def test_foreign_channel_event_detected(self):
+        net = quiesced_network()
+        other = make_network()
+        net._credit_cal[net.cycle + 1] = [
+            other.channels[0]._credit_events[0]]
+        problems = audit_network(net)
+        assert any("outside the network" in p for p in problems)
+
     def test_checker_audit_raises_with_dump(self):
         net = quiesced_network()
         mesh_out_port(net).credits[0] -= 1
