@@ -16,12 +16,18 @@ so differencing two run-time distributions cannot resolve it — and the
 counters have no off switch to difference against anyway (always-on is
 the contract).  Instead the enforced number is deterministic and
 deliberately an *upper bound*: the benchmark times a bare
-``stats.<counter> += 1`` in a tight loop, prices every unit of every
-counter as one such increment (the shipped code batches —
-``+= moved`` / ``+= n`` per router or channel per cycle — so it
-executes far fewer), and divides by the measured saturated run time.
-If even the overcounted bound sits under the floor, the real cost does
-too.
+``stats.<counter> += 1`` in a tight loop, prices every increment the
+simulator executes as one such bare increment, and divides by the
+measured saturated run time.  The code batches (``+= moved`` /
+``+= arrived`` once per phase per cycle), so the executed increments
+are counted, in a separate untimed replay of the same run whose
+networks carry a ``NetworkStats`` that counts assignments to the four
+counters, rather than read off the counter totals: pricing every
+counted *unit* as its own increment overstated the cost by two orders
+of magnitude and made the bound rise whenever the simulator got faster.
+The batch sizes themselves are computed for the buffer accounting
+anyway.  A change that moved a counter back to a per-flit ``+= 1``
+would multiply the executed count and trip the floor.
 
 The saturated run is re-timed over ``REPRO_BENCH_REPS`` rounds (default
 3) with up to ``REPRO_BENCH_EXTRA_REPS`` retry rounds (default 4) while
@@ -43,7 +49,7 @@ from repro.noc.stats import NetworkStats
 from repro.noc.topology import Mesh
 from repro.noc.traffic import UniformManyToFew
 
-BENCH_SCHEMA = 1
+BENCH_SCHEMA = 2
 REPS = max(1, int(os.environ.get("REPRO_BENCH_REPS", "3")))
 EXTRA_REPS = max(0, int(os.environ.get("REPRO_BENCH_EXTRA_REPS", "4")))
 FLOOR_PCT = float(os.environ.get("REPRO_BENCH_POWER_FLOOR_PCT", "2.0"))
@@ -77,14 +83,33 @@ def _increment_cost_ns() -> float:
     return min(rounds)
 
 
-def _saturated_run():
+class _CountingStats(NetworkStats):
+    """``NetworkStats`` that also counts assignments to the activity
+    counters: one per executed ``stats.<counter> += n``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        object.__setattr__(self, "increments", 0)
+
+    def __setattr__(self, name, value) -> None:
+        if name in COUNTERS and "increments" in self.__dict__:
+            object.__setattr__(self, "increments", self.increments + 1)
+        object.__setattr__(self, name, value)
+
+
+def _saturated_run(count_increments: bool = False):
     """One saturated open-loop run on the batched core.
 
-    Returns (wall seconds, total counter units incremented, payload).
+    Returns (wall seconds, total counter units, payload, increments);
+    ``increments`` (executed counter increments) is counted only when
+    ``count_increments`` is set, and is ``None`` otherwise.
     """
     system = build(open_loop_variant(design_by_name(DESIGN)),
                    Mesh(*MESH), num_mcs=8, seed=SEED)
     system.use_batched_stepper()
+    if count_increments:
+        for net in system.networks:
+            net.stats = _CountingStats()
     runner = OpenLoopRunner(system, system.compute_nodes, system.mc_nodes,
                             UniformManyToFew(system.mc_nodes),
                             SATURATED_RATE, seed=SEED)
@@ -93,7 +118,9 @@ def _saturated_run():
     seconds = time.perf_counter() - start
     units = sum(getattr(net.stats, name) for net in system.networks
                 for name in COUNTERS)
-    return seconds, units, point.to_json()
+    increments = (sum(net.stats.increments for net in system.networks)
+                  if count_increments else None)
+    return seconds, units, point.to_json(), increments
 
 
 def _experiment():
@@ -106,7 +133,7 @@ def _experiment():
 
     def one_round():
         nonlocal best_seconds, units, golden, reps
-        seconds, round_units, payload = _saturated_run()
+        seconds, round_units, payload, _ = _saturated_run()
         if best_seconds is None or seconds < best_seconds:
             best_seconds = seconds
         if golden is None:
@@ -117,10 +144,15 @@ def _experiment():
         reps += 1
 
     def overhead_pct():
-        return units * cost_ns / (best_seconds * 1e9) * 100.0
+        return increments * cost_ns / (best_seconds * 1e9) * 100.0
 
     for _ in range(REPS):
         one_round()
+    _, counted_units, counted_payload, increments = _saturated_run(
+        count_increments=True)
+    if counted_payload != golden or counted_units != units:
+        raise AssertionError(
+            "the increment-counting replay diverged from the timed runs")
     for _ in range(EXTRA_REPS):
         if overhead_pct() < FLOOR_PCT:
             break
@@ -136,6 +168,7 @@ def _experiment():
         "floor_pct": FLOOR_PCT,
         "increment_cost_ns": round(cost_ns, 2),
         "counter_units": units,
+        "increments_executed": increments,
         "best_run_seconds": round(best_seconds, 4),
         "overhead_pct_upper_bound": pct,
         "deterministic": True,
@@ -146,7 +179,8 @@ def _experiment():
 
     if pct >= FLOOR_PCT:
         raise AssertionError(
-            f"activity counters price at {units} x {cost_ns:.1f} ns = "
+            f"activity counters price at {increments} x {cost_ns:.1f} "
+            "ns = "
             f"{pct:.2f}% of a {best_seconds:.3f}s saturated run "
             f"(upper bound), over the {FLOOR_PCT}% floor after {reps} "
             "rounds")
@@ -154,8 +188,9 @@ def _experiment():
     return [
         f"increment cost          {cost_ns:8.1f} ns per bare += 1 "
         "(measured directly, min of 3 rounds)",
-        f"counter units           {units:8d} increments priced "
-        "(every unit as its own += 1; shipped code batches)",
+        f"counter units           {units:8d} counted by the four counters",
+        f"increments executed     {increments:8d} priced, each as a bare "
+        "+= 1 (counted in an untimed replay)",
         f"saturated run (batched) {best_seconds:8.3f} s best of "
         f"{reps} rounds",
         f"counter overhead        {pct:+8.2f} % of saturated throughput "

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.noc.channel import Channel
+from repro.noc.network import MeshNetwork, NocParams
 from repro.noc.packet import TrafficClass, read_reply, read_request
 from repro.noc.router import (Router, RouterSpec, RoutingViolation,
                               full_connectivity, half_connectivity)
@@ -59,41 +60,46 @@ class TestConnectivity:
 
 def make_router(coord=Coord(2, 2), half=False, latency=4, inj=1, ej=1,
                 vcs_per_class=1, depth=8):
+    """The router at ``coord`` of a 6x6 network; the tests step it
+    directly (``Router.step``, the reference body) and never step the
+    network, so flits it sends stay in the network's calendars."""
     spec = RouterSpec(coord, half=half, pipeline_latency=latency,
                       num_inject_ports=inj, num_eject_ports=ej)
-    router = Router(spec, shared_vc_config(vcs_per_class), depth, DorXY(MESH))
-    router.attach_ejection(sink=object())
-    for direction, neighbor in MESH.neighbors(coord):
-        out = Channel()
-        out.connect(router, direction, _NullRouter(), direction.opposite())
-        router.attach_output_channel(direction, out)
-        inc = Channel()
-        router.attach_input_channel(direction.opposite().opposite()
-                                    if False else direction, inc)
-    router.finalize()
-    return router
+    params = NocParams(channel_width=16, vc_buffer_depth=depth)
+    net = MeshNetwork(MESH, {coord: spec}, params,
+                      shared_vc_config(vcs_per_class), DorXY(MESH))
+    return net, net.routers[coord]
 
 
-class _NullRouter:
-    def deliver_flit(self, port, vc, flit, cycle):
-        self.last = (port, vc, flit, cycle)
-
-    def deliver_credit(self, port, vc):
-        pass
+def arrive(net, router, port, vc, flit, cycle):
+    """Hand ``flit`` to ``router``'s input (``port``, ``vc``) at
+    ``cycle``.  A mesh port goes through the network's own channel phase
+    (its input channel and :meth:`Channel.deliver`); the injection port
+    takes the flit the way the source phase writes it."""
+    if type(port) is not tuple:
+        channel = router.in_channels[port]
+        channel.send_flit(flit, vc, cycle - channel.latency)
+        Channel.deliver(net, cycle)
+        return
+    if not router.occupancy:
+        router._last_step = cycle
+    flit.ready = cycle + router.pipeline_latency
+    router.in_ports[port][vc].buffer.append(flit)
+    router.occupancy += 1
 
 
 class TestRouterBasics:
     def test_idle_router_does_nothing(self):
-        router = make_router()
+        net, router = make_router()
         assert router.step(1) == []
         assert router.occupancy == 0
 
     def test_local_delivery_via_ejection(self):
-        router = make_router()
+        net, router = make_router()
         packet = read_request(Coord(2, 2), Coord(2, 2), created=0)
         packet.group = packet.group  # plan not needed for DOR ANY
         (flit,) = packet.make_flits(16)
-        router.deliver_flit(injection_port(), 0, flit, 0)
+        arrive(net, router, injection_port(), 0, flit, 0)
         ejected = []
         for cycle in range(1, 12):
             ejected += router.step(cycle)
@@ -101,20 +107,20 @@ class TestRouterBasics:
         assert ejected[0][0] is flit
 
     def test_pipeline_latency_respected(self):
-        router = make_router(latency=4)
+        net, router = make_router(latency=4)
         packet = read_request(Coord(2, 2), Coord(2, 2), created=0)
         (flit,) = packet.make_flits(16)
-        router.deliver_flit(injection_port(), 0, flit, 0)
+        arrive(net, router, injection_port(), 0, flit, 0)
         # ready = 0 + 4, so steps 1..3 must not eject.
         for cycle in range(1, 4):
             assert router.step(cycle) == []
         assert len(router.step(4)) == 1
 
     def test_one_cycle_router_is_faster(self):
-        router = make_router(latency=1)
+        net, router = make_router(latency=1)
         packet = read_request(Coord(2, 2), Coord(2, 2), created=0)
         (flit,) = packet.make_flits(16)
-        router.deliver_flit(injection_port(), 0, flit, 0)
+        arrive(net, router, injection_port(), 0, flit, 0)
         assert len(router.step(1)) == 1
 
     def test_zero_stage_pipeline_rejected(self):
@@ -124,19 +130,19 @@ class TestRouterBasics:
             make_router(latency=0)
 
     def test_buffer_overflow_detected(self):
-        router = make_router(depth=2)
+        net, router = make_router(depth=2)
         packet = read_reply(Coord(0, 2), Coord(5, 2), created=0)
         flits = packet.make_flits(16)
-        router.deliver_flit(Direction.WEST, 0, flits[0], 0)
-        router.deliver_flit(Direction.WEST, 0, flits[1], 0)
-        with pytest.raises(RuntimeError):
-            router.deliver_flit(Direction.WEST, 0, flits[2], 0)
+        arrive(net, router, Direction.WEST, 0, flits[0], 0)
+        arrive(net, router, Direction.WEST, 0, flits[1], 0)
+        with pytest.raises(RuntimeError, match="buffer overflow"):
+            arrive(net, router, Direction.WEST, 0, flits[2], 0)
 
     def test_occupancy_tracking(self):
-        router = make_router()
+        net, router = make_router()
         packet = read_reply(Coord(2, 2), Coord(2, 2), created=0)
         for flit in packet.make_flits(16):
-            router.deliver_flit(injection_port(), 0, flit, 0)
+            arrive(net, router, injection_port(), 0, flit, 0)
         assert router.occupancy == 4
         for cycle in range(1, 20):
             router.step(cycle)
@@ -145,20 +151,20 @@ class TestRouterBasics:
 
 class TestHalfRouterEnforcement:
     def test_illegal_turn_raises(self):
-        router = make_router(coord=Coord(2, 3), half=True)  # parity 1
+        net, router = make_router(coord=Coord(2, 3), half=True)  # parity 1
         # Packet arriving from the WEST heading NORTH would need a turn.
         packet = read_request(Coord(0, 3), Coord(2, 0), created=0)
         (flit,) = packet.make_flits(16)
-        router.deliver_flit(Direction.WEST, 0, flit, 0)
+        arrive(net, router, Direction.WEST, 0, flit, 0)
         with pytest.raises(RoutingViolation):
             for cycle in range(1, 10):
                 router.step(cycle)
 
     def test_straight_through_allowed(self):
-        router = make_router(coord=Coord(2, 3), half=True)
+        net, router = make_router(coord=Coord(2, 3), half=True)
         packet = read_request(Coord(0, 3), Coord(5, 3), created=0)
         (flit,) = packet.make_flits(16)
-        router.deliver_flit(Direction.WEST, 0, flit, 0)
+        arrive(net, router, Direction.WEST, 0, flit, 0)
         for cycle in range(1, 10):
             router.step(cycle)
         assert router.occupancy == 0   # forwarded out the EAST channel
@@ -167,15 +173,15 @@ class TestHalfRouterEnforcement:
 class TestMultiPortEjection:
     def test_two_ejection_ports_double_bandwidth(self):
         """Two packets destined locally can eject in parallel."""
-        router1 = make_router(ej=1, vcs_per_class=2)
-        router2 = make_router(ej=2, vcs_per_class=2)
+        net1, router1 = make_router(ej=1, vcs_per_class=2)
+        net2, router2 = make_router(ej=2, vcs_per_class=2)
         counts = {}
-        for router in (router1, router2):
+        for net, router in ((net1, router1), (net2, router2)):
             for port, src in ((Direction.WEST, Coord(0, 2)),
                               (Direction.EAST, Coord(5, 2))):
                 packet = read_request(src, Coord(2, 2), created=0)
                 (flit,) = packet.make_flits(16)
-                router.deliver_flit(port, 0, flit, 0)
+                arrive(net, router, port, 0, flit, 0)
             first = None
             for cycle in range(1, 10):
                 out = router.step(cycle)
