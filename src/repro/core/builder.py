@@ -309,9 +309,18 @@ class NetworkSystem:
             network.set_ejection_handler(coord, handler)
 
     def step(self, cycle: Optional[int] = None) -> None:
-        self.cycle = self.cycle + 1 if cycle is None else cycle
+        """Advance every slice one cycle; ``cycle``, when given, must be
+        ``self.cycle + 1`` and is checked before any state changes."""
+        if cycle is None:
+            cycle = self.cycle + 1
+        elif cycle != self.cycle + 1:
+            raise ValueError(
+                f"network system {self.design.name!r} is at cycle "
+                f"{self.cycle}; it can only step to {self.cycle + 1}, "
+                f"not {cycle}")
+        self.cycle = cycle
         for network in self.networks:
-            network.step(self.cycle)
+            network.step(cycle)
 
     @property
     def idle(self) -> bool:

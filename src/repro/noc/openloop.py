@@ -143,10 +143,14 @@ class OpenLoopRunner:
                 + format_system_state(self.network))
 
     def _cycle(self, tag: Optional[str]) -> None:
+        """One cycle: Bernoulli request injection, then the network step.
+        With a telemetry hub attached the two phases are charged to the
+        host profiler and the hub's per-cycle hook runs after them."""
         telemetry = self.telemetry
+        prof = None
         if telemetry is not None:
-            self._cycle_instrumented(telemetry, tag)
-            return
+            prof = telemetry.profiler
+            t = prof.clock()
         net = self.network
         cycle = net.cycle
         rng = self._rng
@@ -164,34 +168,13 @@ class OpenLoopRunner:
                 dest = pick(core, rng)
                 inject(make(core, dest, size, tclass, cycle, payload=tag),
                        cycle)
+        if prof is not None:
+            t = prof.add_since("injection", t)
         net.step()
-
-    def _cycle_instrumented(self, telemetry, tag: Optional[str]) -> None:
-        """Telemetry-enabled twin of :meth:`_cycle`: identical simulation
-        order (results stay bit-identical) plus host timing and the
-        per-cycle telemetry hook.  Changes must be made in both bodies."""
-        profiler = telemetry.profiler
-        t = profiler.clock()
-        net = self.network
-        cycle = net.cycle
-        rng = self._rng
-        rand = rng.random
-        rate = self.rate
-        pick = self.pattern.pick
-        inject = net.try_inject
-        make = Packet
-        size = READ_REQUEST_BYTES
-        tclass = TrafficClass.REQUEST
-        for core in self.compute_nodes:
-            if rand() < rate:
-                dest = pick(core, rng)
-                inject(make(core, dest, size, tclass, cycle, payload=tag),
-                       cycle)
-        t = profiler.add_since("injection", t)
-        net.step()
-        t = profiler.add_since("network", t)
-        telemetry.on_cycle(net.cycle)
-        profiler.add_since("telemetry", t)
+        if prof is not None:
+            t = prof.add_since("network", t)
+            telemetry.on_cycle(net.cycle)
+            prof.add_since("telemetry", t)
 
     def _summarize(self, measure: int) -> LoadLatencyPoint:
         req_n = self._lat_count[TrafficClass.REQUEST]

@@ -728,9 +728,8 @@ class ReportCollector:
 
     Usable anywhere a ``progress`` callable is accepted; ``chain`` forwards
     every report to a second callback (e.g. :func:`log_progress`) so
-    collection and printing compose.  The exploration engine and the DSE
-    throughput benchmark read the tallies for per-stage progress lines and
-    the ``BENCH_dse.json`` trajectory.
+    collection and printing compose.  The exploration engine reads the
+    tallies for its per-stage progress lines and ``host.json``.
     """
 
     def __init__(self, chain: Optional[Callable[[TaskReport], None]] = None,

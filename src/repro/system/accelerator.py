@@ -163,8 +163,8 @@ class Accelerator:
         #: ``network.step`` independently of this.
         self._check_interval = 0
         #: Opt-in telemetry hub (``repro.telemetry``), attached via
-        #: ``TelemetryHub.attach_chip``; ``None`` keeps ``step`` at a
-        #: single attribute test.
+        #: ``TelemetryHub.attach_chip``; ``None`` skips ``step``'s phase
+        #: marks and per-cycle hook.
         self.telemetry = None
         #: Debug escape hatch mirroring the network's: run the reference
         #: exhaustive component loops instead of the wake-gated ones.
@@ -203,60 +203,79 @@ class Accelerator:
         channels take an inline idle tick that performs exactly the
         mutations their full step would.  ``_step_reference`` is the
         exhaustive twin; both must change together and the golden tests
-        compare them bit for bit.
+        compare them bit for bit.  Telemetry runs use the same bodies:
+        each phase mark costs one ``prof is not None`` test, and the
+        system audit and telemetry hook run once after either body.
         """
         telemetry = self.telemetry
-        if telemetry is not None:
-            self._step_instrumented(telemetry)
-            return
         if self._reference:
             self._step_reference()
-            return
-        self.icnt_cycle += 1
-        now = self.icnt_cycle
-        for _ in range(self._core_clock.advance()):
-            self.core_cycle += 1
-            cc = self.core_cycle
+        else:
+            prof = None
+            if telemetry is not None:
+                prof = telemetry.profiler
+                t = prof.clock()
+            self.icnt_cycle += 1
+            now = self.icnt_cycle
+            for _ in range(self._core_clock.advance()):
+                self.core_cycle += 1
+                cc = self.core_cycle
+                for core in self.cores:
+                    if core.wake <= cc:
+                        core.step(cc)
+            if prof is not None:
+                t = prof.add_since("cores", t)
             for core in self.cores:
-                if core.wake <= cc:
-                    core.step(cc)
-        for core in self.cores:
-            outbound = core.outbound
-            while outbound:
-                # Cores timestamp in the core clock domain; packet latency
-                # is accounted in interconnect cycles, so re-stamp at the
-                # network interface.
-                outbound[0].created = now
-                if not self.network.try_inject(outbound[0], now):
-                    break
-                outbound.popleft()
-        self.network.step(now)
-        for mc in self.mcs:
-            if mc._input or mc._replies or mc._writebacks:
-                mc.icnt_step(now)
-            else:
-                # Idle tick: exactly what ``icnt_step`` mutates when all
-                # three queues are empty (see the contract note there).
-                mc.cycles += 1
-                mc._icnt_cycle = now
-        for _ in range(self._dram_clock.advance()):
-            self.dram_cycle += 1
-            mclk = self.dram_cycle
+                outbound = core.outbound
+                while outbound:
+                    # Cores timestamp in core cycles; packet latency is
+                    # in interconnect cycles: re-stamp at the interface.
+                    outbound[0].created = now
+                    if not self.network.try_inject(outbound[0], now):
+                        break
+                    outbound.popleft()
+            self.network.step(now)
+            if prof is not None:
+                t = prof.add_since("network", t)
             for mc in self.mcs:
-                dram = mc.dram
-                if dram._queue or dram._in_flight:
-                    dram.step(mclk)
+                if mc._input or mc._replies or mc._writebacks:
+                    mc.icnt_step(now)
                 else:
-                    # Idle tick: ``GddrChannel.step`` with nothing queued
-                    # or in flight only advances its clock.
-                    dram.now = mclk
+                    # Idle tick: exactly what ``icnt_step`` mutates with
+                    # all three queues empty (see the note there).
+                    mc.cycles += 1
+                    mc._icnt_cycle = now
+            for _ in range(self._dram_clock.advance()):
+                self.dram_cycle += 1
+                mclk = self.dram_cycle
+                for mc in self.mcs:
+                    dram = mc.dram
+                    if dram._queue or dram._in_flight:
+                        dram.step(mclk)
+                    else:
+                        # Idle tick: an empty ``GddrChannel.step``
+                        # only advances its clock.
+                        dram.now = mclk
+            if prof is not None:
+                prof.add_since("memory", t)
+        now = self.icnt_cycle
         if self._check_interval and now % self._check_interval == 0:
             check_accelerator(self)
+        if telemetry is not None:
+            prof = telemetry.profiler
+            t = prof.clock()
+            telemetry.on_cycle(now)
+            prof.add_since("telemetry", t)
 
     def _step_reference(self) -> None:
-        """Reference exhaustive step: every core, MC and DRAM channel is
-        stepped every cycle.  Twin of :meth:`step`;
-        used as the benchmark baseline and bit-identity oracle."""
+        """Reference exhaustive body of :meth:`step`: every core, MC and
+        DRAM channel is stepped every cycle.  Used as the benchmark
+        baseline and bit-identity oracle."""
+        telemetry = self.telemetry
+        prof = None
+        if telemetry is not None:
+            prof = telemetry.profiler
+            t = prof.clock()
         self.icnt_cycle += 1
         now = self.icnt_cycle
         for _ in range(self._core_clock.advance()):
@@ -264,6 +283,8 @@ class Accelerator:
             cc = self.core_cycle
             for core in self.cores:
                 core.step(cc)
+        if prof is not None:
+            t = prof.add_since("cores", t)
         for core in self.cores:
             outbound = core.outbound
             while outbound:
@@ -272,6 +293,8 @@ class Accelerator:
                     break
                 outbound.popleft()
         self.network.step(now)
+        if prof is not None:
+            t = prof.add_since("network", t)
         for mc in self.mcs:
             mc.icnt_step(now)
         for _ in range(self._dram_clock.advance()):
@@ -279,8 +302,8 @@ class Accelerator:
             mclk = self.dram_cycle
             for mc in self.mcs:
                 mc.dram_step(mclk)
-        if self._check_interval and now % self._check_interval == 0:
-            check_accelerator(self)
+        if prof is not None:
+            prof.add_since("memory", t)
 
     def use_reference_stepper(self) -> None:
         """Run the exhaustive reference loops (chip and network).  Only
@@ -309,44 +332,6 @@ class Accelerator:
         """Context manager: run on ``backend`` ("reference" |
         "batched"), restoring the previous backend on exit."""
         return _StepperContext(self, backend)
-
-    def _step_instrumented(self, telemetry) -> None:
-        """Telemetry-enabled twin of :meth:`step`: identical simulation
-        order (results stay bit-identical — pinned by golden tests) with
-        per-phase host timing and the per-cycle telemetry hook.  Kept as a
-        separate body so the common path stays branch-free; any change to
-        the phase sequence must be made in both."""
-        profiler = telemetry.profiler
-        t = profiler.clock()
-        self.icnt_cycle += 1
-        now = self.icnt_cycle
-        for _ in range(self._core_clock.advance()):
-            self.core_cycle += 1
-            cc = self.core_cycle
-            for core in self.cores:
-                core.step(cc)
-        t = profiler.add_since("cores", t)
-        for core in self.cores:
-            outbound = core.outbound
-            while outbound:
-                outbound[0].created = now
-                if not self.network.try_inject(outbound[0], now):
-                    break
-                outbound.popleft()
-        self.network.step(now)
-        t = profiler.add_since("network", t)
-        for mc in self.mcs:
-            mc.icnt_step(now)
-        for _ in range(self._dram_clock.advance()):
-            self.dram_cycle += 1
-            mclk = self.dram_cycle
-            for mc in self.mcs:
-                mc.dram_step(mclk)
-        t = profiler.add_since("memory", t)
-        if self._check_interval and now % self._check_interval == 0:
-            check_accelerator(self)
-        telemetry.on_cycle(now)
-        profiler.add_since("telemetry", t)
 
     def run(self, warmup: int = 1_000, measure: int = 3_000,
             label: Optional[str] = None) -> SimulationResult:

@@ -16,6 +16,8 @@ the artifact files:
 The zero-perturbation contract: every hook is read-only, the simulation's
 RNG streams are untouched, and with no hub attached each event site costs
 one attribute test — golden tests pin bit-identical results either way.
+The drivers run their one default cycle body with or without a hub; it
+only adds the profiler's phase marks and a call to :meth:`on_cycle`.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class TelemetryHub:
             self.sampler.attach_chip(chip)
         chip.telemetry = self
 
-    # -- per-cycle hook (called from instrumented step loops) ----------------
+    # -- per-cycle hook (called after each driver cycle) ----------------------
 
     def on_cycle(self, cycle: int) -> None:
         self.profiler.cycles += 1

@@ -217,3 +217,16 @@ class TestNetworkSystemInterface:
         system.try_inject(read_reply(dst, src), system.cycle)
         system.run_until_idle()
         assert len(got) == 2
+
+    def test_out_of_order_step_leaves_state_untouched(self):
+        # A rejected cycle must not advance the system's clock ahead of
+        # its slices, or every later step() would fail too.
+        system = build(DOUBLE_CP_CR)
+        with pytest.raises(ValueError):
+            system.step(5)
+        assert system.cycle == 0
+        assert [n.cycle for n in system.networks] == [0, 0]
+        system.step()
+        system.step(2)
+        assert system.cycle == 2
+        assert [n.cycle for n in system.networks] == [2, 2]

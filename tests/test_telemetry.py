@@ -4,6 +4,9 @@ The pinned contracts:
 
 * zero perturbation — closed-loop and open-loop results are bit-identical
   with telemetry enabled or disabled (the golden tests here);
+* one cycle body per driver — a telemetry run executes the same
+  wake-gated chip loop as a plain run, the reference oracle yields the
+  same telemetry, and the host profile has a fixed set of sections;
 * exact decomposition — every completed per-hop trace's components sum to
   ``packet.latency`` exactly, on single and double networks;
 * the sampler's occupancy columns agree with a direct recount of router
@@ -25,7 +28,8 @@ from repro.noc.stats import NetworkStats, merge_stats
 from repro.noc.topology import Coord
 from repro.noc.traffic import UniformManyToFew
 from repro.noc.packet import read_reply, read_request
-from repro.system.accelerator import build_chip
+from repro.gpu.core import SimtCore
+from repro.system.accelerator import build_chip, perfect_chip
 from repro.telemetry import (COMPONENTS, SAMPLES_SCHEMA, TRACE_SCHEMA,
                              TelemetryHub, TelemetrySpec, coord_key,
                              link_key, parse_coord, parse_link, read_jsonl,
@@ -237,6 +241,116 @@ class TestZeroPerturbation:
                 assert router.tracer is None
             for channel in net.channels:
                 assert channel.tracer is None
+
+    def test_perfect_chip_bit_identical(self):
+        # The zero-latency NoC has no routers to trace, but the chip body
+        # still runs its phase marks and the sampler's chip rows.
+        prof = profile("RD")
+        baseline = perfect_chip(prof, seed=11).run(warmup=100, measure=300)
+        chip = perfect_chip(prof, seed=11)
+        hub = TelemetryHub(TelemetrySpec(trace=True, sample_interval=50))
+        hub.attach_chip(chip)
+        assert chip.run(warmup=100, measure=300).to_json() == \
+            baseline.to_json()
+        assert [row["kind"] for row in hub.sampler.rows] == ["chip"] * 8
+
+
+# ---------------------------------------------------------------------------
+# One cycle body per driver
+
+
+CHIP_SECTIONS = {"cores", "network", "memory", "telemetry"}
+OPEN_LOOP_SECTIONS = {"injection", "network", "telemetry"}
+
+
+def _closed_loop(backend):
+    """Telemetry of a finite RD kernel on Throughput-Effective, run to
+    completion so the stepper context can restore on a drained chip."""
+    chip = build_chip(profile("RD"),
+                      design=design_by_name("Throughput-Effective"),
+                      seed=11, instructions_per_warp=4)
+    hub = TelemetryHub(TelemetrySpec(trace=True, sample_interval=50))
+    hub.attach_chip(chip)
+    with chip.use_stepper(backend):
+        result = chip.run_to_completion()
+    return result, hub
+
+
+def _open_loop(backend):
+    system = build(open_loop_variant(design_by_name("Throughput-Effective")))
+    hub = TelemetryHub(TelemetrySpec(trace=True, sample_interval=50))
+    runner = OpenLoopRunner(
+        system, system.compute_nodes, system.mc_nodes,
+        UniformManyToFew(system.mc_nodes), 0.05, telemetry=hub)
+    with system.use_stepper(backend):
+        point = runner.run(warmup=100, measure=300, drain=300)
+    return point, hub
+
+
+class TestOneCycleBody:
+    def test_telemetry_keeps_core_wake_gating(self, monkeypatch):
+        calls = [0]
+        real_step = SimtCore.step
+
+        def spy(core, cycle):
+            calls[0] += 1
+            real_step(core, cycle)
+
+        monkeypatch.setattr(SimtCore, "step", spy)
+
+        def core_steps(spec):
+            chip = build_chip(profile("RD"), design=design_by_name("TB-DOR"),
+                              seed=11)
+            if spec is not None:
+                TelemetryHub(spec).attach_chip(chip)
+            calls[0] = 0
+            result = chip.run(warmup=100, measure=300)
+            return calls[0], result, len(chip.cores) * chip.core_cycle
+
+        plain, plain_result, exhaustive = core_steps(None)
+        traced, traced_result, _ = core_steps(
+            TelemetrySpec(trace=True, sample_interval=50))
+        assert plain < exhaustive          # the wake gating skips steps
+        assert traced == plain
+        assert traced_result.to_json() == plain_result.to_json()
+
+    def test_closed_loop_reference_gives_same_telemetry(self):
+        ref_result, ref = _closed_loop("reference")
+        result, hub = _closed_loop("batched")
+        assert ref.sampler.rows and ref.tracer.completed
+        assert hub.sampler.rows == ref.sampler.rows
+        assert hub.tracer.summary() == ref.tracer.summary()
+        assert result.to_json() == ref_result.to_json()
+
+    def test_open_loop_reference_gives_same_telemetry(self):
+        ref_point, ref = _open_loop("reference")
+        point, hub = _open_loop("batched")
+        assert ref.sampler.rows and ref.tracer.completed
+        assert hub.sampler.rows == ref.sampler.rows
+        assert hub.tracer.summary() == ref.tracer.summary()
+        assert point.to_json() == ref_point.to_json()
+
+    @pytest.mark.parametrize("backend", ["batched", "reference"])
+    def test_chip_profile_sections(self, backend):
+        chip = build_chip(profile("RD"), design=design_by_name("TB-DOR"),
+                          seed=11)
+        hub = TelemetryHub(TelemetrySpec())
+        hub.attach_chip(chip)
+        if backend == "reference":
+            chip.use_reference_stepper()
+        chip.run(warmup=20, measure=50)
+        assert set(hub.profiler.sections) == CHIP_SECTIONS
+        assert hub.profiler.cycles == chip.icnt_cycle == 70
+
+    def test_open_loop_profile_sections(self):
+        system = build(open_loop_variant(BASELINE))
+        hub = TelemetryHub(TelemetrySpec())
+        runner = OpenLoopRunner(
+            system, system.compute_nodes, system.mc_nodes,
+            UniformManyToFew(system.mc_nodes), 0.03, telemetry=hub)
+        runner.run(warmup=20, measure=50)
+        assert set(hub.profiler.sections) == OPEN_LOOP_SECTIONS
+        assert hub.profiler.cycles == system.cycle == 70
 
 
 class TestTraceAggregates:
